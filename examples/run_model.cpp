@@ -5,8 +5,6 @@
 //   ./build/examples/run_model examples/models/lep.tg --print-model
 //   ./build/examples/run_model model.tg "control: A<> IUT.Bright"
 //   ./build/examples/run_model model.tg --threads=4   # 0 = hardware
-//   ./build/examples/run_model model.tg --compact-zones  # pooled zone
-//                      # storage; what lets LEP n=6 fit in memory
 //
 // Subcommands name the pipeline stage explicitly; each takes the same
 // flags as the legacy flag-driven interface (which remains supported —
@@ -241,7 +239,6 @@ int run_main(int argc, char** argv) {
 
   std::string path;
   bool print_model = false;
-  bool compact_zones = false;  // dictionary-compressed zone storage
   unsigned threads = 0;        // 0 = hardware concurrency
   std::string strategy_out;
   std::string strategy_in;
@@ -280,8 +277,6 @@ int run_main(int argc, char** argv) {
   for (int i = first_arg; i < argc; ++i) {
     if (std::strcmp(argv[i], "--print-model") == 0) {
       print_model = true;
-    } else if (std::strcmp(argv[i], "--compact-zones") == 0) {
-      compact_zones = true;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--strategy-out=", 15) == 0) {
@@ -371,7 +366,7 @@ int run_main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: run_model [solve|serve|run|campaign|explain] "
                  "<model.tg> [--print-model] "
-                 "[--threads=N] [--compact-zones] [--param NAME=VALUE]... "
+                 "[--threads=N] [--param NAME=VALUE]... "
                  "[--strategy-out=FILE.tgs] "
                  "[--strategy-in=FILE.tgs] "
                  "[--trace-out=FILE] [--metrics-out=FILE] "
@@ -491,7 +486,6 @@ int run_main(int argc, char** argv) {
     } else {
       game::SolverOptions options;
       options.threads = threads;
-      options.compact_zones = compact_zones;
       game::GameSolver solver(model.system, purposes.front(), options);
       solution = solver.solve();
       if (!solution->winning_from_initial()) {
@@ -628,7 +622,6 @@ int run_main(int argc, char** argv) {
     try {
       game::SolverOptions options;
       options.threads = threads;
-      options.compact_zones = compact_zones;
       game::GameSolver solver(model.system, purpose, options);
       const auto solution = solver.solve();
       game::Strategy strategy(solution);

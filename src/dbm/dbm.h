@@ -213,6 +213,8 @@ class Dbm {
   }
 
  private:
+  friend class PooledFed;  // decodes dictionary rows into data()
+
   explicit Dbm(std::uint32_t dim);
 
   [[nodiscard]] std::size_t cells() const noexcept {

@@ -138,6 +138,8 @@ class Fed {
   [[nodiscard]] std::string to_string() const;
 
  private:
+  friend class PooledFed;  // decodes into zones_ in place
+
   std::uint32_t dim_;
   std::vector<Dbm> zones_;
 };

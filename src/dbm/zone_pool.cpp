@@ -198,21 +198,24 @@ bool PooledFed::covers(const Dbm& zone, const ZonePool& pool) const {
   return false;
 }
 
-Dbm PooledFed::zone(std::size_t i, const ZonePool& pool) const {
-  raw_t cells[64 * 64];
-  TIGAT_ASSERT(dim_ <= 64, "pooled storage caps the clock count at 64");
-  for (std::uint32_t r = 0; r < dim_; ++r) {
-    std::memcpy(cells + std::size_t{r} * dim_, pool.row(ids_[i * dim_ + r]),
-                dim_ * sizeof(raw_t));
-  }
-  return Dbm::from_raw(dim_, cells);
-}
-
-void PooledFed::materialize(Fed& out, const ZonePool& pool) const {
-  out.clear();
+void PooledFed::materialize(Fed& out, const ZonePool& pool,
+                            std::size_t keep) const {
+  std::vector<Dbm>& zones = out.zones_;
   const std::size_t members = size();
+  TIGAT_ASSERT(keep <= zones.size(), "materialize keeps more than out holds");
+  TIGAT_ASSERT(members == 0 || out.dimension() == dim_, "dimension mismatch");
+  if (zones.size() > keep + members) {
+    zones.erase(zones.begin() + static_cast<std::ptrdiff_t>(keep + members),
+                zones.end());
+  }
   for (std::size_t m = 0; m < members; ++m) {
-    out.append_raw(zone(m, pool));
+    if (keep + m == zones.size()) zones.push_back(Dbm(dim_));
+    // Fed members are never empty, so a reused zone keeps empty_ false.
+    raw_t* cells = zones[keep + m].data();
+    for (std::uint32_t r = 0; r < dim_; ++r) {
+      std::memcpy(cells + std::size_t{r} * dim_, pool.row(ids_[m * dim_ + r]),
+                  dim_ * sizeof(raw_t));
+    }
   }
 }
 

@@ -112,13 +112,16 @@ class PooledFed {
   // subsumption test; matches Dbm::is_subset_of against each member).
   [[nodiscard]] bool covers(const Dbm& zone, const ZonePool& pool) const;
 
-  // Decodes member `i`.
-  [[nodiscard]] Dbm zone(std::size_t i, const ZonePool& pool) const;
-
-  // Decodes the whole federation into `out` (cleared first).  The
-  // result is bit-identical — same zones, same order — to the Fed this
-  // PooledFed mirrors.
-  void materialize(Fed& out, const ZonePool& pool) const;
+  // Decodes the whole federation into `out` after its first `keep`
+  // members, which stay; whatever `out` held past them is replaced.
+  // The decoded members are bit-identical — same zones, same order —
+  // to the Fed this PooledFed mirrors, so successive calls with a
+  // growing `keep` concatenate several pooled federations.  Zones
+  // `out` already holds are overwritten in place: decoding into a
+  // reused scratch federation constructs and destroys no zone (and so
+  // leaves the shared zone-memory meter alone) once it has grown.
+  void materialize(Fed& out, const ZonePool& pool,
+                   std::size_t keep = 0) const;
 
   [[nodiscard]] bool contains_point(std::span<const std::int64_t> point,
                                     const ZonePool& pool,

@@ -34,7 +34,8 @@ class Compiler {
   explicit Compiler(const GameSolution& solution)
       : sol_(solution),
         g_(solution.graph()),
-        safety_(solution.purpose().kind == tsystem::PurposeKind::kSafety) {
+        safety_(solution.purpose().kind == tsystem::PurposeKind::kSafety),
+        reach_(g_.system().clock_count()) {
     out_.fingerprint = model_fingerprint(g_.system(), solution.purpose());
     out_.clock_dim = g_.system().clock_count();
     out_.purpose_kind = safety_ ? 1 : 0;
@@ -144,12 +145,13 @@ class Compiler {
   // cached implementation Strategy::decide also walks, including the
   // member-zone layout (delay leaves take the earliest-entry minimum
   // over these zones, so the zone list itself must match, not just the
-  // denoted set).
-  target_t delay_leaf(std::uint32_t k, std::uint32_t round) {
+  // denoted set).  `reach` is key k's decoded reach set, decoded once
+  // per key and handed to every action_region call of its out-edges.
+  target_t delay_leaf(std::uint32_t k, std::uint32_t round, const Fed& reach) {
     std::vector<std::uint32_t> refs;
     for (const std::uint32_t ei : g_.edges_out(k)) {
       if (!g_.edges()[ei].inst.controllable) continue;
-      for (const Dbm& z : sol_.action_region(ei, round - 1).zones()) {
+      for (const Dbm& z : sol_.action_region(ei, round - 1, &reach).zones()) {
         refs.push_back(intern_zone(z));
       }
     }
@@ -169,7 +171,7 @@ class Compiler {
   // controllable edges in edges_out order — empty action regions are
   // skipped, which is decide-equivalent since an empty region never
   // contains the point.
-  target_t safety_leaf(std::uint32_t k) {
+  target_t safety_leaf(std::uint32_t k, const Fed& reach) {
     TableData::Leaf leaf;
     leaf.kind = MoveKind::kDelay;
     leaf.rank = 0;
@@ -186,7 +188,7 @@ class Compiler {
     std::vector<TableData::Act> acts;
     for (const std::uint32_t ei : g_.edges_out(k)) {
       if (!g_.edges()[ei].inst.controllable) continue;
-      const Fed& region = sol_.action_region(ei, 0);
+      const Fed& region = sol_.action_region(ei, 0, &reach);
       if (region.is_empty()) continue;
       TableData::Act act;
       act.edge_slot = edge_slot(ei);
@@ -200,6 +202,7 @@ class Compiler {
   }
 
   void compile_key(std::uint32_t k) {
+    const Fed& reach = g_.reach(k, reach_);
     if (safety_) {
       const Fed& safe = sol_.winning(k);
       TableData::Key key;
@@ -208,7 +211,7 @@ class Compiler {
       if (safe.is_empty()) {
         key.root = unwinnable_leaf();
       } else {
-        std::vector<Entry> entries{{&safe, safety_leaf(k)}};
+        std::vector<Entry> entries{{&safe, safety_leaf(k, reach)}};
         cascade_entries_ += entries.size();
         key.root = build(Dbm::universal(out_.clock_dim), entries);
       }
@@ -227,8 +230,8 @@ class Compiler {
       }
       for (const std::uint32_t ei : g_.edges_out(k)) {
         if (!g_.edges()[ei].inst.controllable) continue;
-        Fed region =
-            sol_.action_region(ei, d.round - 1).intersection(d.gained);
+        Fed region = sol_.action_region(ei, d.round - 1, &reach)
+                         .intersection(d.gained);
         if (region.is_empty()) continue;
         TableData::Leaf act;
         act.kind = MoveKind::kAction;
@@ -237,7 +240,7 @@ class Compiler {
         owned.push_back(std::move(region));
         entries.push_back({&owned.back(), intern_leaf(act)});
       }
-      entries.push_back({&d.gained, delay_leaf(k, d.round)});
+      entries.push_back({&d.gained, delay_leaf(k, d.round, reach)});
     }
     cascade_entries_ += entries.size();
 
@@ -442,6 +445,7 @@ class Compiler {
   const SymbolicGraph& g_;
   const bool safety_;
   TableData out_;
+  Fed reach_;  // compile_key's decode buffer for the key's reach set
 
   std::unordered_map<std::size_t, std::vector<std::uint32_t>> zone_index_;
   std::map<std::vector<std::uint32_t>, std::pair<std::uint32_t, std::uint32_t>>

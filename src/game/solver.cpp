@@ -18,89 +18,130 @@ using dbm::Fed;
 using semantics::SymbolicEdge;
 using semantics::SymbolicGraph;
 
+namespace {
+
+// Installs `fresh` into an empty cache slot, or returns what a racing
+// caller installed first (dropping `fresh`).
+template <class Slot, class T>
+Slot& install(std::atomic<Slot*>& slot, std::unique_ptr<T> fresh) {
+  Slot* expected = nullptr;
+  if (slot.compare_exchange_strong(expected, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *fresh.release();
+  }
+  return *expected;
+}
+
+}  // namespace
+
 GameSolution::GameSolution(std::unique_ptr<SymbolicGraph> graph,
                            tsystem::TestPurpose purpose)
     : graph_(std::move(graph)),
       purpose_(std::move(purpose)),
-      empty_fed_(graph_->system().clock_count()),
-      action_mutex_(std::make_unique<std::shared_mutex>()),
-      mat_mutex_(std::make_unique<std::shared_mutex>()) {}
+      cache_(std::make_unique<CacheSlot[]>(graph_->key_count())),
+      empty_fed_(graph_->system().clock_count()) {}
 
-const GameSolution::MaterializedKey* GameSolution::materialized(
-    std::uint32_t k) const {
-  if (!compact()) return nullptr;
-  {
-    std::shared_lock lock(*mat_mutex_);
-    const auto it = mat_cache_.find(k);
-    if (it != mat_cache_.end()) return &it->second;
-  }
-  // Decode outside the lock (reads only the immutable pooled store); a
-  // racing caller may duplicate the work, but emplace keeps the first
-  // insertion and the loser's copy is discarded.  The winning
-  // federation is the concatenation of the delta federations — gains
-  // are pairwise disjoint, so Fed::add's filtering never fires and
-  // plain append reproduces the plain-mode member order exactly.
-  const dbm::ZonePool& pool = *graph_->zone_pool();
-  const std::uint32_t dim = graph_->system().clock_count();
-  MaterializedKey m{Fed(dim), {}, {}};
-  for (const PooledDelta& pd : deltas_pooled_[k]) {
-    Fed gained(dim);
-    pd.gained.materialize(gained, pool);
-    for (const Dbm& z : gained.zones()) m.win.append_raw(z);
-    m.deltas.push_back({pd.round, std::move(gained)});
-  }
-  if (m.deltas.size() >= 2) {
-    m.up_to.reserve(m.deltas.size() - 1);
-    Fed acc = m.deltas.front().gained;
-    m.up_to.push_back(acc);
-    for (std::size_t d = 1; d + 1 < m.deltas.size(); ++d) {
-      acc |= m.deltas[d].gained;
-      m.up_to.push_back(acc);
+GameSolution::KeyCache::~KeyCache() {
+  delete decoded.load(std::memory_order_relaxed);
+  delete danger.load(std::memory_order_relaxed);
+  for (const auto& head : actions) {
+    for (const ActionNode* n = head.load(std::memory_order_relaxed);
+         n != nullptr;) {
+      const ActionNode* next = n->next;
+      delete n;
+      n = next;
     }
   }
-  std::unique_lock lock(*mat_mutex_);
-  return &mat_cache_.emplace(k, std::move(m)).first->second;
+}
+
+GameSolution::KeyCache& GameSolution::key_cache(std::uint32_t k) const {
+  std::atomic<KeyCache*>& slot = cache_[k].cache;
+  if (KeyCache* c = slot.load(std::memory_order_acquire)) return *c;
+  return install(slot,
+                 std::make_unique<KeyCache>(graph_->edges_out(k).size()));
+}
+
+const GameSolution::MaterializedKey& GameSolution::materialized(
+    std::uint32_t k) const {
+  std::atomic<const MaterializedKey*>& slot = key_cache(k).decoded;
+  if (const MaterializedKey* m = slot.load(std::memory_order_acquire)) {
+    return *m;
+  }
+  // Decode without a lock (reads only the immutable pooled store).  The
+  // winning federation is the concatenation of the delta federations —
+  // gains are pairwise disjoint, so plain append reproduces the
+  // solver's member order.
+  const dbm::ZonePool& pool = graph_->zone_pool();
+  const std::uint32_t dim = graph_->system().clock_count();
+  auto m = std::make_unique<MaterializedKey>(
+      MaterializedKey{Fed(dim), {}, {}});
+  m->deltas.reserve(deltas_[k].size());
+  for (const PooledDelta& pd : deltas_[k]) {
+    pd.gained.materialize(m->win, pool, m->win.size());
+    Fed gained(dim);
+    pd.gained.materialize(gained, pool);
+    m->deltas.push_back({pd.round, std::move(gained)});
+  }
+  if (m->deltas.size() >= 2) {
+    m->up_to.reserve(m->deltas.size() - 1);
+    Fed acc = m->deltas.front().gained;
+    m->up_to.push_back(acc);
+    for (std::size_t d = 1; d + 1 < m->deltas.size(); ++d) {
+      acc |= m->deltas[d].gained;
+      m->up_to.push_back(acc);
+    }
+  }
+  return install(slot, std::move(m));
 }
 
 const Fed& GameSolution::winning(std::uint32_t k) const {
-  const MaterializedKey* m = materialized(k);
-  return m != nullptr ? m->win : win_all_[k];
+  return materialized(k).win;
 }
 
 const std::vector<GameSolution::Delta>& GameSolution::deltas(
     std::uint32_t k) const {
-  const MaterializedKey* m = materialized(k);
-  return m != nullptr ? m->deltas : deltas_[k];
+  return materialized(k).deltas;
 }
 
-const Fed& GameSolution::action_region(std::uint32_t ei,
-                                       std::uint32_t round) const {
-  const std::uint64_t key = (static_cast<std::uint64_t>(ei) << 32) | round;
-  {
-    std::shared_lock lock(*action_mutex_);
-    const auto it = action_cache_.find(key);
-    if (it != action_cache_.end()) return it->second;
-  }
-  // Compute outside any lock (reads only immutable state); a racing
-  // caller may duplicate the work, but emplace keeps the first
-  // insertion and the loser's copy is discarded.
+const Fed& GameSolution::action_region(std::uint32_t ei, std::uint32_t round,
+                                       const Fed* reach_src) const {
   const SymbolicEdge& e = graph_->edges()[ei];
+  const auto out = graph_->edges_out(e.src);
+  const auto slot = static_cast<std::size_t>(
+      std::find(out.begin(), out.end(), ei) - out.begin());
+  std::atomic<const ActionNode*>& head = key_cache(e.src).actions[slot];
+  // Nodes in [from, until) for `round`, if any.
+  const auto find_round = [round](const ActionNode* from,
+                                  const ActionNode* until) {
+    for (const ActionNode* n = from; n != until; n = n->next) {
+      if (n->round == round) return n;
+    }
+    return static_cast<const ActionNode*>(nullptr);
+  };
+  const ActionNode* seen = head.load(std::memory_order_acquire);
+  if (const ActionNode* hit = find_round(seen, nullptr)) return hit->region;
   Fed region = graph_->pred_through(e, winning_up_to(e.dst, round));
   Fed scratch(graph_->system().clock_count());
-  region &= graph_->reach(e.src, scratch);
-  std::unique_lock lock(*action_mutex_);
-  return action_cache_.emplace(key, std::move(region)).first->second;
+  region &= reach_src != nullptr ? *reach_src : graph_->reach(e.src, scratch);
+  // Push to the front; when a racing caller pushed first, look through
+  // its nodes for this round before retrying.
+  auto node = std::make_unique<ActionNode>(
+      ActionNode{round, std::move(region), seen});
+  while (!head.compare_exchange_weak(node->next, node.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+    if (const ActionNode* hit = find_round(node->next, seen)) {
+      return hit->region;
+    }
+    seen = node->next;
+  }
+  return node.release()->region;
 }
 
 const Fed& GameSolution::danger_region(std::uint32_t k) const {
-  {
-    std::shared_lock lock(*action_mutex_);
-    const auto it = danger_cache_.find(k);
-    if (it != danger_cache_.end()) return it->second;
-  }
-  // Compute outside any lock (winning() takes its own); a racing
-  // caller may duplicate the work, but emplace keeps the first
-  // insertion and the loser's copy is discarded.
+  std::atomic<const Fed*>& slot = key_cache(k).danger;
+  if (const Fed* d = slot.load(std::memory_order_acquire)) return *d;
   const std::uint32_t dim = graph_->system().clock_count();
   Fed danger(dim);
   Fed scratch(dim);
@@ -112,23 +153,17 @@ const Fed& GameSolution::danger_region(std::uint32_t k) const {
     danger |= graph_->pred_through(e, bad);
   }
   danger &= graph_->reach(k, scratch);
-  std::unique_lock lock(*action_mutex_);
-  return danger_cache_.emplace(k, std::move(danger)).first->second;
+  return install(slot, std::make_unique<Fed>(std::move(danger)));
 }
 
 const Fed& GameSolution::winning_up_to(std::uint32_t k,
                                        std::uint32_t round) const {
-  const MaterializedKey* m = materialized(k);
-  const std::vector<Delta>& ds = m != nullptr ? m->deltas : deltas_[k];
+  const MaterializedKey& m = materialized(k);
   // deltas are in round order; find how many apply.
-  std::size_t idx = ds.size();
-  while (idx > 0 && ds[idx - 1].round > round) --idx;
+  std::size_t idx = m.deltas.size();
+  while (idx > 0 && m.deltas[idx - 1].round > round) --idx;
   if (idx == 0) return empty_fed_;
-  // The full prefix is the complete winning set; intermediate prefixes
-  // come from the cumulative cache (which omits the last level to
-  // avoid duplicating the full federation).
-  if (idx == ds.size()) return m != nullptr ? m->win : win_all_[k];
-  return m != nullptr ? m->up_to[idx - 1] : win_up_to_[k][idx - 1];
+  return idx == m.deltas.size() ? m.win : m.up_to[idx - 1];
 }
 
 std::optional<std::uint32_t> GameSolution::rank(
@@ -141,17 +176,14 @@ std::optional<std::uint32_t> GameSolution::rank(
 }
 
 bool GameSolution::winning_from_initial() const {
+  // Pooled membership test — no decoding for the one question every
+  // Table 1 cell asks.
   const std::vector<std::int64_t> zero(graph_->system().clock_count(), 0);
-  if (compact()) {
-    // Pooled membership test — no materialization for the one question
-    // every Table 1 cell asks.
-    const dbm::ZonePool& pool = *graph_->zone_pool();
-    for (const PooledDelta& pd : deltas_pooled_[graph_->initial_key()]) {
-      if (pd.gained.contains_point(zero, pool, 1)) return true;
-    }
-    return false;
+  const dbm::ZonePool& pool = graph_->zone_pool();
+  for (const PooledDelta& pd : deltas_[graph_->initial_key()]) {
+    if (pd.gained.contains_point(zero, pool, 1)) return true;
   }
-  return win_all_[graph_->initial_key()].contains_point(zero, 1);
+  return false;
 }
 
 GameSolver::GameSolver(const tsystem::System& system,
@@ -168,11 +200,11 @@ GameSolver::GameSolver(const tsystem::System& system,
 // the previous round, the merged state — and hence every subsequent
 // round, rank and strategy — is bit-identical at any thread count.
 //
-// compact_zones: the bulk stores (reach, loss, win/deltas) hold row
-// ids; workers decode into chunk-local scratch federations, and every
-// pool WRITE (compressing gains and refreshed loss sets) happens in
-// the serial merge sections, in key order — so the dictionary content
-// is deterministic too.
+// The bulk stores (reach, loss, win/deltas) hold row ids; workers
+// decode into chunk-local scratch federations, and every pool WRITE
+// (compressing gains and refreshed loss sets) happens in the serial
+// merge sections, in key order — so the dictionary content is
+// deterministic too.
 std::shared_ptr<const GameSolution> GameSolver::solve() {
   TIGAT_SPAN("solve");
   util::Stopwatch watch;
@@ -188,32 +220,25 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   const bool safety = purpose_.kind == tsystem::PurposeKind::kSafety;
   const bool attacker_ctrl = !safety;
 
-  semantics::ExplorationOptions expl = options_.exploration;
-  expl.compact_zones = expl.compact_zones || options_.compact_zones;
-  auto graph = std::make_unique<SymbolicGraph>(*sys_, expl);
+  auto graph = std::make_unique<SymbolicGraph>(*sys_, options_.exploration);
   graph->explore(&pool);
   const std::uint32_t n = graph->key_count();
   const std::uint32_t dim = sys_->clock_count();
 
   auto solution = std::make_shared<GameSolution>(std::move(graph), purpose_);
   const SymbolicGraph& g = *solution->graph_;
-  dbm::ZonePool* zpool = solution->graph_->zone_pool();
-  const bool compact = zpool != nullptr;
+  dbm::ZonePool& zpool = solution->graph_->zone_pool();
+  auto& win = solution->deltas_;  // per key: its winning deltas
 
   // Decodes a key's winning federation (the concatenation of its delta
   // federations; see GameSolution::materialized) into `out`.
   const auto win_fed = [&](std::uint32_t k, Fed& out) {
-    out.clear();
-    for (const auto& pd : solution->deltas_pooled_[k]) {
-      const std::size_t zones = pd.gained.size();
-      for (std::size_t z = 0; z < zones; ++z) {
-        out.append_raw(pd.gained.zone(z, *zpool));
-      }
+    std::size_t at = 0;
+    for (const auto& pd : win[k]) {
+      pd.gained.materialize(out, zpool, at);
+      at += pd.gained.size();
     }
-  };
-  const auto win_empty = [&](std::uint32_t k) {
-    return compact ? solution->deltas_pooled_[k].empty()
-                   : solution->win_all_[k].is_empty();
+    if (at == 0) out.clear();
   };
 
   // Round 0: attractor seed keys win everywhere they are reachable
@@ -222,61 +247,32 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   // part; Sec. 2.4's purposes are location/data predicates).  The scan
   // is per-key independent.  `is_goal` always records φ itself (it
   // feeds goal_key_); the seed derives from it per purpose kind.
-  std::vector<Fed> loss;                    // plain: Reach \ Win cache
-  std::vector<dbm::PooledFed> loss_pooled;  // compact twin
+  std::vector<dbm::PooledFed> loss(n, dbm::PooledFed(dim));  // Reach \ Win
   std::vector<char> is_goal(n, 0);
   const auto seed_key = [&](std::uint32_t k) {
     return safety ? is_goal[k] == 0 : is_goal[k] != 0;
   };
-  if (compact) {
-    solution->deltas_pooled_.assign(n, {});
-    loss_pooled.assign(n, dbm::PooledFed(dim));
-    pool.parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto k = static_cast<std::uint32_t>(i);
-        const auto& key = g.key(k);
-        if (purpose_.formula.eval(key.locs, key.data, sys_->data())) {
-          is_goal[k] = 1;
-        }
-      }
-    }, "solve.goal_scan");
-    // Row-id copies are cheap; run them serially so the pool stays a
-    // single-writer structure.
-    for (std::uint32_t k = 0; k < n; ++k) {
-      if (seed_key(k)) {
-        solution->deltas_pooled_[k].push_back({0, g.reach_pooled(k)});
-      } else {
-        loss_pooled[k] = g.reach_pooled(k);
+  win.assign(n, {});
+  pool.parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto k = static_cast<std::uint32_t>(i);
+      const auto& key = g.key(k);
+      if (purpose_.formula.eval(key.locs, key.data, sys_->data())) {
+        is_goal[k] = 1;
       }
     }
-  } else {
-    solution->win_all_.assign(n, Fed(dim));
-    loss.assign(n, Fed(dim));
-    pool.parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto k = static_cast<std::uint32_t>(i);
-        const auto& key = g.key(k);
-        if (purpose_.formula.eval(key.locs, key.data, sys_->data())) {
-          is_goal[k] = 1;
-        }
-        if (seed_key(k)) {
-          solution->win_all_[k] = g.reach(k);
-        } else {
-          loss[k] = g.reach(k);
-        }
-      }
-    }, "solve.goal_scan");
-  }
+  }, "solve.goal_scan");
   solution->goal_key_.assign(n, false);
-  if (!compact) solution->deltas_.assign(n, {});
   std::vector<bool> dirty(n, false);   // winning changed in last round
   std::vector<bool> saturated(n, false);  // win == reach, nothing to gain
+  // Row-id copies are cheap; run them serially.
   for (std::uint32_t k = 0; k < n; ++k) {
     if (is_goal[k]) solution->goal_key_[k] = true;
-    if (!seed_key(k)) continue;
-    if (!compact) {
-      solution->deltas_[k].push_back({0, solution->win_all_[k]});
+    if (!seed_key(k)) {
+      loss[k] = g.reach_pooled(k);
+      continue;
     }
+    win[k].push_back({0, g.reach_pooled(k)});
     dirty[k] = true;
     saturated[k] = true;
   }
@@ -338,10 +334,10 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   std::size_t rounds = 0;
   std::vector<std::uint32_t> work;    // keys to recompute this round
   std::vector<Fed> gains;             // per-work-item staged gain
-  std::vector<Fed> loss_staged;       // compact: per-changed-key refresh
+  std::vector<Fed> loss_staged;       // per-changed-key refresh
   std::vector<std::uint32_t> changed; // keys that actually gained
-  // compact: the round's gains, compressed batch by batch and applied
-  // only once the round is complete.
+  // The round's gains, compressed batch by batch and applied only once
+  // the round is complete.
   std::vector<std::pair<std::uint32_t, GameSolution::PooledDelta>> staged;
   const std::uint64_t reach_zone_count = g.stats().zones;
   for (std::uint32_t r = 1;; ++r) {
@@ -377,25 +373,23 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     // strategy extraction (an action prescribed at rank r provably
     // lands at rank < r) — and the per-key computations of a round are
     // independent, the source of all parallelism here.  Gains are
-    // staged per work item and applied after the round.  compact mode
-    // processes the work list in batches — compute a slice in
-    // parallel, compress its gains serially, move on — so the
-    // uncompressed staging buffer stays bounded; the compressed stage
-    // is still applied only after the WHOLE round (Jacobi reads
-    // round-r−1 state throughout).
+    // staged per work item and applied after the round.  The work list
+    // is processed in batches — compute a slice in parallel, compress
+    // its gains serially, move on — so the uncompressed staging buffer
+    // stays bounded; the compressed stage is still applied only after
+    // the WHOLE round (Jacobi reads round-r−1 state throughout).
     const auto round_body = [&](std::size_t base) {
       return [&, base](std::size_t begin, std::size_t end) {
       Fed scratch(dim);
-      Fed other(dim);   // compact: decoded win/loss of a neighbour
-      Fed win_k(dim);   // compact: decoded win of k
+      Fed other(dim);   // decoded win/loss of a neighbour
+      Fed wk(dim);      // decoded win of k
       for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t k = work[base + i];
 
         // B: already-winning here, an attacker edge into winning, or a
         // deadline where the defender is forced to move (G filters out
         // forced states with a non-winning escape).
-        if (compact) win_fed(k, win_k);
-        const Fed& wk = compact ? win_k : solution->win_all_[k];
+        win_fed(k, wk);
         Fed b = wk;
         if (!forced[k].is_empty()) b |= forced[k];
         // G: a defender edge can escape to a non-winning state.
@@ -403,25 +397,13 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
         for (const std::uint32_t ei : g.edges_out(k)) {
           const SymbolicEdge& e = g.edges()[ei];
           if (e.inst.controllable == attacker_ctrl) {
-            if (!win_empty(e.dst)) {
-              if (compact) {
-                win_fed(e.dst, other);
-                b |= g.pred_through(e, other);
-              } else {
-                b |= g.pred_through(e, solution->win_all_[e.dst]);
-              }
+            if (!win[e.dst].empty()) {
+              win_fed(e.dst, other);
+              b |= g.pred_through(e, other);
             }
-          } else {
-            const bool loss_empty = compact ? loss_pooled[e.dst].is_empty()
-                                            : loss[e.dst].is_empty();
-            if (!loss_empty) {
-              if (compact) {
-                loss_pooled[e.dst].materialize(other, *zpool);
-                gbad |= g.pred_through(e, other);
-              } else {
-                gbad |= g.pred_through(e, loss[e.dst]);
-              }
-            }
+          } else if (!loss[e.dst].is_empty()) {
+            loss[e.dst].materialize(other, zpool);
+            gbad |= g.pred_through(e, other);
           }
         }
         // One decode serves all three intersections (materializing a
@@ -448,75 +430,50 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     // (compressing the gains) happen here.
     std::vector<bool> new_dirty(n, false);
     changed.clear();
+    staged.clear();
     constexpr std::size_t kGainBatch = std::size_t{1} << 16;
-    if (compact) {
-      staged.clear();
-      for (std::size_t base = 0; base < work.size(); base += kGainBatch) {
-        const std::size_t count = std::min(kGainBatch, work.size() - base);
-        gains.assign(count, Fed(dim));
-        pool.parallel_for(count, 1, round_body(base), "fixpoint.recompute");
-        TIGAT_SPAN("fixpoint.compress_gains");
-        for (std::size_t i = 0; i < count; ++i) {
-          if (gains[i].is_empty()) continue;
-          GameSolution::PooledDelta pd{r, dbm::PooledFed(dim)};
-          pd.gained.assign(gains[i], *zpool);
-          staged.emplace_back(work[base + i], std::move(pd));
-        }
-      }
-      // Apply only after the whole round was computed (Jacobi).
-      for (auto& [k, pd] : staged) {
-        solution->deltas_pooled_[k].push_back(std::move(pd));
-        new_dirty[k] = true;
-        changed.push_back(k);
-      }
-    } else {
-      gains.assign(work.size(), Fed(dim));
-      pool.parallel_for(work.size(), 1, round_body(0), "fixpoint.recompute");
-      for (std::size_t i = 0; i < work.size(); ++i) {
+    for (std::size_t base = 0; base < work.size(); base += kGainBatch) {
+      const std::size_t count = std::min(kGainBatch, work.size() - base);
+      gains.assign(count, Fed(dim));
+      pool.parallel_for(count, 1, round_body(base), "fixpoint.recompute");
+      TIGAT_SPAN("fixpoint.compress_gains");
+      for (std::size_t i = 0; i < count; ++i) {
         if (gains[i].is_empty()) continue;
-        const std::uint32_t k = work[i];
-        solution->deltas_[k].push_back({r, gains[i]});
-        solution->win_all_[k] |= gains[i];
-        new_dirty[k] = true;
-        changed.push_back(k);
+        GameSolution::PooledDelta pd{r, dbm::PooledFed(dim)};
+        pd.gained.assign(gains[i], zpool);
+        staged.emplace_back(work[base + i], std::move(pd));
       }
     }
-    // Loss refresh (Reach \ Win) per changed key, again independent.
-    // compact: the subtraction fans out into staging slots, the
-    // re-compression (a pool write) stays serial in key order.
-    if (compact) {
-      for (std::size_t base = 0; base < changed.size(); base += kGainBatch) {
-        const std::size_t count = std::min(kGainBatch, changed.size() - base);
-        loss_staged.assign(count, Fed(dim));
-        pool.parallel_for(count, 4, [&](std::size_t begin, std::size_t end) {
-          Fed scratch(dim);
-          Fed win_k(dim);
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t k = changed[base + i];
-            win_fed(k, win_k);
-            loss_staged[i] = g.reach(k, scratch).minus(win_k);
-          }
-        }, "fixpoint.refresh_loss");
-        // Loss sets are only read by the NEXT round's body, so batch
-        // application is safe; the pool write stays serial.
-        for (std::size_t i = 0; i < count; ++i) {
-          loss_pooled[changed[base + i]].assign(loss_staged[i], *zpool);
-          loss_staged[i] = Fed(dim);
+    // Apply only after the whole round was computed (Jacobi).
+    for (auto& [k, pd] : staged) {
+      win[k].push_back(std::move(pd));
+      new_dirty[k] = true;
+      changed.push_back(k);
+    }
+    // Loss refresh (Reach \ Win) per changed key, again independent:
+    // the subtraction fans out into staging slots, the re-compression
+    // (a pool write) stays serial in key order.
+    for (std::size_t base = 0; base < changed.size(); base += kGainBatch) {
+      const std::size_t count = std::min(kGainBatch, changed.size() - base);
+      loss_staged.assign(count, Fed(dim));
+      pool.parallel_for(count, 4, [&](std::size_t begin, std::size_t end) {
+        Fed scratch(dim);
+        Fed win_k(dim);
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::uint32_t k = changed[base + i];
+          win_fed(k, win_k);
+          loss_staged[i] = g.reach(k, scratch).minus(win_k);
         }
+      }, "fixpoint.refresh_loss");
+      // Loss sets are only read by the NEXT round's body, so batch
+      // application is safe; the pool write stays serial.
+      for (std::size_t i = 0; i < count; ++i) {
+        loss[changed[base + i]].assign(loss_staged[i], zpool);
+        loss_staged[i] = Fed(dim);
       }
-    } else {
-      pool.parallel_for(changed.size(), 4,
-                        [&](std::size_t begin, std::size_t end) {
-                          for (std::size_t i = begin; i < end; ++i) {
-                            const std::uint32_t k = changed[i];
-                            loss[k] = g.reach(k).minus(solution->win_all_[k]);
-                          }
-                        }, "fixpoint.refresh_loss");
     }
     for (const std::uint32_t k : changed) {
-      const bool empty =
-          compact ? loss_pooled[k].is_empty() : loss[k].is_empty();
-      if (empty) saturated[k] = true;
+      if (loss[k].is_empty()) saturated[k] = true;
     }
     if (obs::metrics_enabled()) {
       obs::metrics().counter("solver.fixpoint.recomputed_keys")
@@ -527,9 +484,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
       // `changed` has one entry per gain applied this round, so the
       // round's zones are the last delta of each changed key.
       for (const std::uint32_t k : changed) {
-        gained_zones += compact
-                            ? solution->deltas_pooled_[k].back().gained.size()
-                            : solution->deltas_[k].back().gained.size();
+        gained_zones += win[k].back().gained.size();
       }
       obs::metrics().counter("solver.fixpoint.gained_zones").add(gained_zones);
     }
@@ -549,59 +504,15 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   // structure — the strategy is "stay inside Safe" — so one delta is
   // the honest shape, and every downstream consumer (winning_up_to,
   // rank, action_region, decision::compile) works off round 0.  All
-  // pooled writes behind loss_pooled happened serially in key order
-  // during the rounds, so the compact store and the published
-  // solution stay bit-identical at any thread count.
+  // pooled writes behind the loss sets happened serially in key order
+  // during the rounds, so the published solution stays bit-identical
+  // at any thread count.
   if (safety) {
-    if (compact) {
-      for (std::uint32_t k = 0; k < n; ++k) {
-        solution->deltas_pooled_[k].clear();
-        if (!loss_pooled[k].is_empty()) {
-          solution->deltas_pooled_[k].push_back(
-              {0, std::move(loss_pooled[k])});
-        }
-      }
-    } else {
-      for (std::uint32_t k = 0; k < n; ++k) {
-        solution->win_all_[k] = std::move(loss[k]);
-        solution->deltas_[k].clear();
-        if (!solution->win_all_[k].is_empty()) {
-          solution->deltas_[k].push_back({0, solution->win_all_[k]});
-        }
-      }
+    for (std::uint32_t k = 0; k < n; ++k) {
+      win[k].clear();
+      if (!loss[k].is_empty()) win[k].push_back({0, std::move(loss[k])});
     }
   }
-
-  // Solve-time peak, sampled BEFORE building the executor-facing
-  // cache below so the Table 1 memory column keeps the paper's
-  // semantics (memory consumed by strategy generation).
-  const std::size_t solve_peak_bytes = util::zone_memory().peak();
-
-  // Cumulative winning_up_to cache: per key, the union of the delta
-  // prefix at every round but the last (the full prefix is win_all_).
-  // It's what the executor's per-decision lookups read.  compact mode
-  // builds it lazily per touched key instead (GameSolution::
-  // materialized) — eagerly decoding every key would re-inflate the
-  // memory the pooled store just saved.
-  if (!compact) {
-    solution->win_up_to_.assign(n, {});
-    pool.parallel_for(n, 16, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto k = static_cast<std::uint32_t>(i);
-        const auto& ds = solution->deltas_[k];
-        if (ds.size() < 2) continue;
-        auto& cum = solution->win_up_to_[k];
-        cum.reserve(ds.size() - 1);
-        Fed acc = ds.front().gained;
-        cum.push_back(acc);
-        for (std::size_t d = 1; d + 1 < ds.size(); ++d) {
-          acc |= ds[d].gained;
-          cum.push_back(acc);
-        }
-      }
-    }, "solve.up_to_cache");
-  }
-
   // Stats.
   const auto gstats = g.stats();
   SolverStats& st = solution->stats_;
@@ -609,14 +520,10 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   st.reach_zones = gstats.zones;
   st.edges = gstats.edges;
   st.rounds = rounds;
-  if (compact) {
-    for (const auto& pds : solution->deltas_pooled_) {
-      for (const auto& pd : pds) st.winning_zones += pd.gained.size();
-    }
-  } else {
-    for (const Fed& w : solution->win_all_) st.winning_zones += w.size();
+  for (const auto& pds : win) {
+    for (const auto& pd : pds) st.winning_zones += pd.gained.size();
   }
-  st.peak_zone_bytes = solve_peak_bytes;
+  st.peak_zone_bytes = util::zone_memory().peak();
   st.explore_expand_seconds = gstats.expand_seconds;
   st.explore_merge_seconds = gstats.merge_seconds;
   st.zone_pool_rows = gstats.pool_rows;

@@ -58,7 +58,7 @@
 //   Safe[q] = Reach[q] \ Attr[q].
 //
 // One attractor loop thus serves both purpose kinds; the Jacobi round
-// structure, serial in-key-order merges and compact-zones staging are
+// structure, serial in-key-order merges and pooled gain staging are
 // shared verbatim, so safety solutions inherit the bit-identical-at-
 // any-thread-count guarantee.  The published solution holds Safe as a
 // single round-0 delta per key (a greatest fixpoint has no rank
@@ -68,29 +68,34 @@
 // edge ei keeps the play inside Safe — which is exactly what
 // Strategy::decide and decision::compile consume.
 //
-// ── compact_zones ──────────────────────────────────────────────────────
+// ── zone storage ───────────────────────────────────────────────────────
 //
-// With SolverOptions::compact_zones the reach sets, the fixpoint's
-// loss cache and the solution's winning/delta federations are all
-// stored dictionary-compressed (dbm/zone_pool.h): a zone costs dim row
-// ids instead of an inline dim×dim matrix, which is what makes LEP
-// n = 6 strategy tables fit in CI-class memory.  Solutions are
-// BIT-IDENTICAL with the flag on or off (tests/zone_pool_test.cpp);
-// the executor-facing accessors (winning, deltas, winning_up_to,
-// rank) materialize a key's federations on first touch and cache them
-// — test execution visits a handful of keys per run, so serving stays
-// cheap while bulk storage stays compressed.  Caveat: consumers that
-// touch EVERY key (Strategy::to_string, decision::compile) fill that
-// cache completely and re-inflate to plain-mode memory — extract
-// strategies at the instance sizes plain mode can hold; compact_zones
-// buys the solve + verdict at sizes it cannot.
+// Every bulk zone store — the graph's reach sets, the fixpoint's loss
+// cache and the solution's winning deltas — is dictionary-compressed
+// (dbm/zone_pool.h): a zone costs dim row ids into the graph's shared
+// row dictionary instead of an inline matrix, which is what makes LEP
+// n = 6 solvable in CI-class memory.  The fixpoint decodes what a
+// round reads into worker-local scratch federations and compresses its
+// gains in serial, key-ordered merges, so the dictionary content is as
+// deterministic as the solution.
+//
+// The accessors (winning, deltas, winning_up_to, rank, action_region,
+// danger_region) decode or derive a key's federations on first touch
+// into a per-key cache whose entries are filled once and then read with
+// atomic loads, no lock.  Test execution visits a handful of keys per
+// run, so serving stays cheap while bulk storage stays compressed.
+// Consumers that touch EVERY key (Strategy::to_string,
+// decision::compile) still fill every key's cache: the solution then
+// holds decoded winning sets and action regions for the whole graph
+// until it is destroyed, so extract strategies at the sizes whose
+// decoded winning sets fit in memory; the solve and its verdict
+// (winning_from_initial) need no decoding.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "dbm/federation.h"
@@ -109,9 +114,6 @@ struct SolverOptions {
   // at every value — work is distributed, results are merged in key
   // order (see solve()).
   unsigned threads = 0;
-  // Dictionary-compress all bulk zone storage (see the file comment).
-  // Mirrored into exploration.compact_zones by the solver.
-  bool compact_zones = false;
 };
 
 struct SolverStats {
@@ -126,7 +128,7 @@ struct SolverStats {
   // seal+merge remainder (the striped interner shrinks the latter).
   double explore_expand_seconds = 0.0;
   double explore_merge_seconds = 0.0;
-  // Zone-pool dictionary stats (0 unless compact_zones).
+  // Zone-pool dictionary stats.
   std::size_t zone_pool_rows = 0;
   std::size_t zone_pool_bytes = 0;
 };
@@ -150,8 +152,8 @@ class GameSolution {
 
   [[nodiscard]] bool goal_key(std::uint32_t k) const { return goal_key_[k]; }
 
-  // Full winning federation of a key.  compact_zones: materialized and
-  // cached on first touch.
+  // Full winning federation of a key (decoded on first touch, like
+  // every accessor below; see the file comment).
   [[nodiscard]] const dbm::Fed& winning(std::uint32_t k) const;
   // Winning states of rank ≤ round.  Served from the cumulative
   // per-round cache built at solve time (the executor asks on every
@@ -172,9 +174,12 @@ class GameSolution {
   // play inside Safe).  Lazily computed, cached, safe for concurrent
   // callers; the single home of this computation, shared by
   // Strategy::decide and decision::compile so their results stay
-  // bit-identical.
-  [[nodiscard]] const dbm::Fed& action_region(std::uint32_t ei,
-                                              std::uint32_t round) const;
+  // bit-identical.  A caller that visits every out-edge of a key may
+  // pass `reach_src` = the decoded reach set of the edge's source, so
+  // the key is decoded once rather than once per edge and round.
+  [[nodiscard]] const dbm::Fed& action_region(
+      std::uint32_t ei, std::uint32_t round,
+      const dbm::Fed* reach_src = nullptr) const;
 
   // Safety games only: the sub-region of Reach[k] where some enabled
   // uncontrollable edge exits Safe.  Inside Safe \ Danger delaying is
@@ -195,41 +200,50 @@ class GameSolution {
     std::uint32_t round;
     dbm::PooledFed gained;
   };
-  // A key's executor-facing federations, materialized from the pooled
-  // store on first access (compact mode only).
+  // A key's executor-facing federations, decoded from the pooled
+  // deltas on first access.
   struct MaterializedKey {
     dbm::Fed win;
     std::vector<Delta> deltas;
-    std::vector<dbm::Fed> up_to;  // delta-prefix unions minus the last
+    // up_to[i] = union of deltas[0..i].gained for every prefix but the
+    // full one (that is `win`), so winning_up_to is a lookup.
+    std::vector<dbm::Fed> up_to;
+  };
+  struct ActionNode {
+    std::uint32_t round;
+    dbm::Fed region;
+    const ActionNode* next;
+  };
+  // Everything the accessors derive for one key, built on first touch.
+  // Each entry is installed at most once (a racing duplicate is
+  // discarded) and then immutable, so a read is an atomic load, no
+  // lock.
+  struct KeyCache {
+    explicit KeyCache(std::size_t out_degree) : actions(out_degree) {}
+    ~KeyCache();
+    std::atomic<const MaterializedKey*> decoded{nullptr};
+    std::atomic<const dbm::Fed*> danger{nullptr};
+    // Per out-edge (edges_out order): the action regions asked for so
+    // far, one node per round.
+    std::vector<std::atomic<const ActionNode*>> actions;
+  };
+  struct CacheSlot {
+    std::atomic<KeyCache*> cache{nullptr};
+    ~CacheSlot() { delete cache.load(std::memory_order_relaxed); }
   };
 
-  [[nodiscard]] bool compact() const { return graph_->zones_compacted(); }
-  // Compact mode: materializes key k (idempotent, thread-safe) and
-  // returns its cache node; plain mode: nullptr.
-  const MaterializedKey* materialized(std::uint32_t k) const;
+  [[nodiscard]] KeyCache& key_cache(std::uint32_t k) const;
+  // Decodes key k's deltas on first call and returns them.
+  [[nodiscard]] const MaterializedKey& materialized(std::uint32_t k) const;
 
   std::unique_ptr<semantics::SymbolicGraph> graph_;
   tsystem::TestPurpose purpose_;
   std::vector<bool> goal_key_;
-  // Plain mode stores.  In compact mode win federations live ONLY in
-  // deltas_pooled_ (a key's winning set is the concatenation of its
-  // delta federations — gains are disjoint, so no filtering applies).
-  std::vector<dbm::Fed> win_all_;
-  std::vector<std::vector<Delta>> deltas_;
-  // win_up_to_[k][i] = union of deltas_[k][0..i].gained, so
-  // winning_up_to is a lookup instead of a federation rebuild.
-  std::vector<std::vector<dbm::Fed>> win_up_to_;
-  // Compact mode stores.
-  std::vector<std::vector<PooledDelta>> deltas_pooled_;
-  mutable std::unordered_map<std::uint32_t, MaterializedKey> mat_cache_;
+  // The winning store: a key's winning set is the concatenation of its
+  // delta federations (gains are disjoint, so no filtering applies).
+  std::vector<std::vector<PooledDelta>> deltas_;
+  std::unique_ptr<CacheSlot[]> cache_;  // one per key
   dbm::Fed empty_fed_;  // returned for rounds before the first delta
-  // Guards mat_cache_, action_cache_ and danger_cache_ (behind
-  // pointers to keep the class movable).  Node-based maps, so returned
-  // references survive rehashes; entries are immutable once inserted.
-  std::unique_ptr<std::shared_mutex> action_mutex_;
-  std::unique_ptr<std::shared_mutex> mat_mutex_;
-  mutable std::unordered_map<std::uint64_t, dbm::Fed> action_cache_;
-  mutable std::unordered_map<std::uint32_t, dbm::Fed> danger_cache_;
   SolverStats stats_;
 };
 

@@ -38,6 +38,7 @@ class StrategyTest : public ::testing::Test {
 
 TEST_F(StrategyTest, RanksArePerRoundDeltas) {
   const auto& g = solution_->graph();
+  dbm::Fed scratch(g.system().clock_count());
   for (std::uint32_t k = 0; k < g.key_count(); ++k) {
     std::uint32_t prev = 0;
     bool first = true;
@@ -53,7 +54,7 @@ TEST_F(StrategyTest, RanksArePerRoundDeltas) {
     if (solution_->goal_key(k)) {
       ASSERT_FALSE(solution_->deltas(k).empty());
       EXPECT_EQ(solution_->deltas(k).front().round, 0u);
-      EXPECT_TRUE(g.reach(k).is_subset_of(solution_->winning(k)));
+      EXPECT_TRUE(g.reach(k, scratch).is_subset_of(solution_->winning(k)));
     }
   }
 }
