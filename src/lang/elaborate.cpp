@@ -792,10 +792,12 @@ class Elaborator {
       out.clear();
       return true;  // consumed (do not fall back to the data world)
     }
-    const auto value = fold_const_expr(*bound_side);
+    bool overflow = false;
+    const auto value = fold_const_expr(*bound_side, overflow);
     if (!value) {
       error(bound_side->pos,
-                  "clock comparisons need a constant integer bound");
+            overflow ? "integer overflow in clock bound"
+                     : "clock comparisons need a constant integer bound");
       out.clear();
       return true;
     }
@@ -952,8 +954,10 @@ class Elaborator {
   // ── constant folding ────────────────────────────────────────────────
   // Integer-folds an expression that may not mention clocks, variables
   // or quantifiers (declaration bounds, reset values, clock bounds).
+  // Missing when the expression is not constant or its value leaves
+  // int64; `overflow` is set in the latter case.
   [[nodiscard]] std::optional<std::int64_t> fold_const_expr(
-      const ExprAst& e) const {
+      const ExprAst& e, bool& overflow) const {
     switch (e.kind) {
       case ExprAst::Kind::kNumber:
         return e.number;
@@ -966,42 +970,39 @@ class Elaborator {
         return std::nullopt;
       }
       case ExprAst::Kind::kUnary: {
-        const auto v = fold_const_expr(*e.lhs);
+        const auto v = fold_const_expr(*e.lhs, overflow);
         if (!v) return std::nullopt;
         if (e.un_op == UnOp::kNot) return *v == 0 ? 1 : 0;
         if (*v == std::numeric_limits<std::int64_t>::min()) {
+          overflow = true;
           return std::nullopt;
         }
         return -*v;
       }
       case ExprAst::Kind::kBinary: {
-        const auto a = fold_const_expr(*e.lhs);
-        const auto b = fold_const_expr(*e.rhs);
+        const auto a = fold_const_expr(*e.lhs, overflow);
+        const auto b = fold_const_expr(*e.rhs, overflow);
         if (!a || !b) return std::nullopt;
-        // Overflow makes the expression non-constant rather than UB.
+        // Overflow yields no value (and is reported as such) rather
+        // than UB: every overflowing case breaks out of the switch.
         std::int64_t r = 0;
         switch (e.bin_op) {
           case BinOp::kAdd:
-            if (__builtin_add_overflow(*a, *b, &r)) return std::nullopt;
+            if (__builtin_add_overflow(*a, *b, &r)) break;
             return r;
           case BinOp::kSub:
-            if (__builtin_sub_overflow(*a, *b, &r)) return std::nullopt;
+            if (__builtin_sub_overflow(*a, *b, &r)) break;
             return r;
           case BinOp::kMul:
-            if (__builtin_mul_overflow(*a, *b, &r)) return std::nullopt;
+            if (__builtin_mul_overflow(*a, *b, &r)) break;
             return r;
           case BinOp::kDiv:
-            if (*b == 0 ||
-                (*a == std::numeric_limits<std::int64_t>::min() && *b == -1)) {
-              return std::nullopt;
-            }
-            return *a / *b;
           case BinOp::kMod:
-            if (*b == 0 ||
-                (*a == std::numeric_limits<std::int64_t>::min() && *b == -1)) {
-              return std::nullopt;
+            if (*b == 0) return std::nullopt;
+            if (*a == std::numeric_limits<std::int64_t>::min() && *b == -1) {
+              break;
             }
-            return *a % *b;
+            return e.bin_op == BinOp::kDiv ? *a / *b : *a % *b;
           case BinOp::kEq: return *a == *b ? 1 : 0;
           case BinOp::kNe: return *a != *b ? 1 : 0;
           case BinOp::kLt: return *a < *b ? 1 : 0;
@@ -1011,6 +1012,7 @@ class Elaborator {
           case BinOp::kAnd: return (*a != 0 && *b != 0) ? 1 : 0;
           case BinOp::kOr: return (*a != 0 || *b != 0) ? 1 : 0;
         }
+        overflow = true;
         return std::nullopt;
       }
       default:
@@ -1021,11 +1023,13 @@ class Elaborator {
   // As fold_const_expr, but reports a positioned error on failure.
   std::optional<std::int64_t> fold_const(const ExprPtr& e, const char* what) {
     if (!e) return std::nullopt;
-    const auto v = fold_const_expr(*e);
+    bool overflow = false;
+    const auto v = fold_const_expr(*e, overflow);
     if (!v) {
       error(e->pos,
-                  util::format("%s must be a constant integer expression",
-                               what));
+            util::format(overflow ? "integer overflow in %s"
+                                  : "%s must be a constant integer expression",
+                         what));
     }
     return v;
   }

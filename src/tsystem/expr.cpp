@@ -1,5 +1,7 @@
 #include "tsystem/expr.h"
 
+#include <limits>
+
 #include "util/assert.h"
 #include "util/text.h"
 
@@ -94,6 +96,10 @@ std::int64_t eval_child(const std::shared_ptr<const ExprNode>& n,
   return eval_node(n.get(), state, layout, env);
 }
 
+[[noreturn]] void throw_overflow() {
+  throw ModelError("integer overflow in expression");
+}
+
 std::int64_t eval_node(const ExprNode* n, const DataState& state,
                        const DataLayout& layout, BoundEnv& env) {
   using Kind = Expr::Kind;
@@ -112,27 +118,56 @@ std::int64_t eval_node(const ExprNode* n, const DataState& state,
       }
       return env[env.size() - 1 - depth];
     }
-    case Kind::kAdd:
-      return eval_child(n->lhs, state, layout, env) +
-             eval_child(n->rhs, state, layout, env);
-    case Kind::kSub:
-      return eval_child(n->lhs, state, layout, env) -
-             eval_child(n->rhs, state, layout, env);
-    case Kind::kMul:
-      return eval_child(n->lhs, state, layout, env) *
-             eval_child(n->rhs, state, layout, env);
+    case Kind::kAdd: {
+      std::int64_t r = 0;
+      if (__builtin_add_overflow(eval_child(n->lhs, state, layout, env),
+                                 eval_child(n->rhs, state, layout, env), &r)) {
+        throw_overflow();
+      }
+      return r;
+    }
+    case Kind::kSub: {
+      std::int64_t r = 0;
+      if (__builtin_sub_overflow(eval_child(n->lhs, state, layout, env),
+                                 eval_child(n->rhs, state, layout, env), &r)) {
+        throw_overflow();
+      }
+      return r;
+    }
+    case Kind::kMul: {
+      std::int64_t r = 0;
+      if (__builtin_mul_overflow(eval_child(n->lhs, state, layout, env),
+                                 eval_child(n->rhs, state, layout, env), &r)) {
+        throw_overflow();
+      }
+      return r;
+    }
     case Kind::kDiv: {
       const std::int64_t d = eval_child(n->rhs, state, layout, env);
       if (d == 0) throw ModelError("division by zero in expression");
-      return eval_child(n->lhs, state, layout, env) / d;
+      const std::int64_t a = eval_child(n->lhs, state, layout, env);
+      if (d == -1 && a == std::numeric_limits<std::int64_t>::min()) {
+        throw_overflow();
+      }
+      return a / d;
     }
     case Kind::kMod: {
       const std::int64_t d = eval_child(n->rhs, state, layout, env);
       if (d == 0) throw ModelError("modulo by zero in expression");
-      return eval_child(n->lhs, state, layout, env) % d;
+      const std::int64_t a = eval_child(n->lhs, state, layout, env);
+      if (d == -1 && a == std::numeric_limits<std::int64_t>::min()) {
+        throw_overflow();
+      }
+      return a % d;
     }
-    case Kind::kNeg:
-      return -eval_child(n->lhs, state, layout, env);
+    case Kind::kNeg: {
+      std::int64_t r = 0;
+      if (__builtin_sub_overflow(std::int64_t{0},
+                                 eval_child(n->lhs, state, layout, env), &r)) {
+        throw_overflow();
+      }
+      return r;
+    }
     case Kind::kEq:
       return eval_child(n->lhs, state, layout, env) ==
              eval_child(n->rhs, state, layout, env);

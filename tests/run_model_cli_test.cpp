@@ -125,6 +125,30 @@ TEST(RunModelCli, SubcommandPipelineRoundTrips) {
   std::remove(tgs.c_str());
 }
 
+// A data guard whose value leaves int64 is a model error (exit 1), not
+// a silently wrapped comparison that solves.
+TEST(RunModelCli, GuardOverflowIsModelError) {
+  const std::string tg = ::testing::TempDir() + "/run_model_cli_overflow.tg";
+  {
+    std::FILE* f = std::fopen(tg.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "clock x;\n"
+        "int[0,2000000000] v = 2000000000;\n"
+        "process P controlled {\n"
+        "  loc A;\n"
+        "  loc B;\n"
+        "  init A;\n"
+        "  edge A -> B when v*v*v*v > 0;\n"
+        "}\n"
+        "control: A<> P.B;\n",
+        f);
+    std::fclose(f);
+  }
+  EXPECT_EQ(run_cli(tg), 1);
+  std::remove(tg.c_str());
+}
+
 // ── .tgs format versioning at the CLI boundary ──────────────────────
 
 // An old-format (v1/v2) strategy file is a "re-solve to migrate"

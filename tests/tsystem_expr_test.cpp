@@ -2,6 +2,8 @@
 // expression AST.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tsystem/data.h"
 #include "tsystem/expr.h"
 
@@ -44,6 +46,21 @@ TEST_F(ExprTest, ArithmeticAndComparison) {
   EXPECT_EQ((Expr::var(a_) != lit(3)).eval(state_, layout_), 0);
   EXPECT_EQ((lit(7) % lit(4)).eval(state_, layout_), 3);
   EXPECT_EQ((-Expr::var(a_)).eval(state_, layout_), -3);
+}
+
+TEST_F(ExprTest, ArithmeticOverflowIsAModelError) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_THROW((void)(lit(kMax) + lit(1)).eval(state_, layout_), ModelError);
+  EXPECT_THROW((void)(lit(kMin) - lit(1)).eval(state_, layout_), ModelError);
+  EXPECT_THROW((void)(lit(kMax) * lit(2)).eval(state_, layout_), ModelError);
+  EXPECT_THROW((void)(-lit(kMin)).eval(state_, layout_), ModelError);
+  EXPECT_THROW((void)(lit(kMin) / lit(-1)).eval(state_, layout_), ModelError);
+  EXPECT_THROW((void)(lit(kMin) % lit(-1)).eval(state_, layout_), ModelError);
+  // The largest in-range results still evaluate.
+  EXPECT_EQ((lit(kMax - 1) + lit(1)).eval(state_, layout_), kMax);
+  EXPECT_EQ((-lit(kMax)).eval(state_, layout_), -kMax);
+  EXPECT_EQ((lit(kMin) / lit(1)).eval(state_, layout_), kMin);
 }
 
 TEST_F(ExprTest, BooleansShortCircuitSemantics) {
