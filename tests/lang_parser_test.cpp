@@ -517,7 +517,7 @@ TEST(LangDiagnostics, ConstantFoldOverflowIsAnErrorNotUB) {
       "process P controlled { loc A; init A; }\n",
       diags);
   EXPECT_FALSE(model.has_value());
-  EXPECT_NE(first_error(diags).message.find("constant integer"),
+  EXPECT_NE(first_error(diags).message.find("integer overflow"),
             std::string::npos);
 }
 
