@@ -2,14 +2,19 @@
 // list" representation that UPPAAL-family tools use to push state-space
 // limits (Behrmann et al., UPPAAL 4.0; David et al., UPPAAL-Tiga).
 //
+// This is the solving pipeline's only bulk zone store: the symbolic
+// graph's reach sets, the fixpoint's loss cache and the solution's
+// winning deltas are all PooledFeds over the graph's one ZonePool;
+// plain Feds appear only as per-worker scratch and as decoded caches.
+//
 // A ZonePool hash-conses DBM ROW vectors (dim raw_t bounds each) into
 // one shared dictionary; a PooledFed stores each member zone as dim
 // RowIds instead of a dim×dim matrix.  Extrapolation clamps every
 // stored bound into a small per-clock vocabulary, so large zone graphs
 // share rows massively: a dim-3 LEP zone shrinks from a 256-byte
 // inline Dbm (plus vector slot) to 12 bytes of ids, and the dictionary
-// itself stays tiny.  This is what makes LEP n = 6 strategy tables fit
-// in CI-class memory (SolverOptions::compact_zones).
+// itself stays tiny.  This is what makes LEP n = 6 fit in CI-class
+// memory.
 //
 // Concurrency contract (matches the solving pipeline's fork-join
 // structure): intern_row() and every PooledFed mutator are SERIAL-ONLY
@@ -21,8 +26,7 @@
 //
 // Both the pool slab and PooledFed id vectors report their bytes to
 // util::zone_memory(), so the exploration budget and the Table 1
-// memory column measure the COMPRESSED footprint when compaction is
-// on.
+// memory column measure the compressed footprint.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +72,9 @@ class ZonePool {
 
 // A federation stored as row ids into a ZonePool.  Mirrors the exact
 // member-filtering semantics and member ORDER of Fed::add, so a
-// PooledFed round-trips to a bit-identical Fed — the compact_zones
-// on/off determinism the solver promises (tests/zone_pool_test.cpp).
+// PooledFed round-trips to a bit-identical Fed (tests/zone_pool_test.cpp)
+// and solutions equal those of the uncompressed algorithm
+// (tests/solver_digest_test.cpp).
 class PooledFed {
  public:
   PooledFed() = default;

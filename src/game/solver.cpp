@@ -76,9 +76,10 @@ const GameSolution::MaterializedKey& GameSolution::materialized(
   const std::uint32_t dim = graph_->system().clock_count();
   auto m = std::make_unique<MaterializedKey>(
       MaterializedKey{Fed(dim), {}, {}});
+  const bool concat = deltas_[k].size() >= 2;
   m->deltas.reserve(deltas_[k].size());
   for (const PooledDelta& pd : deltas_[k]) {
-    pd.gained.materialize(m->win, pool, m->win.size());
+    if (concat) pd.gained.materialize(m->concat, pool, m->concat.size());
     Fed gained(dim);
     pd.gained.materialize(gained, pool);
     m->deltas.push_back({pd.round, std::move(gained)});
@@ -96,7 +97,7 @@ const GameSolution::MaterializedKey& GameSolution::materialized(
 }
 
 const Fed& GameSolution::winning(std::uint32_t k) const {
-  return materialized(k).win;
+  return materialized(k).win();
 }
 
 const std::vector<GameSolution::Delta>& GameSolution::deltas(
@@ -163,7 +164,7 @@ const Fed& GameSolution::winning_up_to(std::uint32_t k,
   std::size_t idx = m.deltas.size();
   while (idx > 0 && m.deltas[idx - 1].round > round) --idx;
   if (idx == 0) return empty_fed_;
-  return idx == m.deltas.size() ? m.win : m.up_to[idx - 1];
+  return idx == m.deltas.size() ? m.win() : m.up_to[idx - 1];
 }
 
 std::optional<std::uint32_t> GameSolution::rank(

@@ -203,10 +203,15 @@ class GameSolution {
   // A key's executor-facing federations, decoded from the pooled
   // deltas on first access.
   struct MaterializedKey {
-    dbm::Fed win;
+    // The whole winning set: the concatenation of the deltas, built
+    // only when there are two or more (one delta is the whole set).
+    [[nodiscard]] const dbm::Fed& win() const {
+      return deltas.size() == 1 ? deltas.front().gained : concat;
+    }
+    dbm::Fed concat;
     std::vector<Delta> deltas;
     // up_to[i] = union of deltas[0..i].gained for every prefix but the
-    // full one (that is `win`), so winning_up_to is a lookup.
+    // full one (that is win()), so winning_up_to is a lookup.
     std::vector<dbm::Fed> up_to;
   };
   struct ActionNode {

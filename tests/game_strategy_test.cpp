@@ -3,6 +3,7 @@
 // strategy-execution progress argument (ranks strictly decrease).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -186,6 +187,66 @@ TEST_F(StrategyTest, DecideIsSafeForConcurrentCallers) {
     ASSERT_EQ(results[t].size(), baseline.size());
     for (std::size_t i = 0; i < baseline.size(); ++i) {
       EXPECT_EQ(results[t][i], baseline[i]) << "thread " << t << " state " << i;
+    }
+  }
+}
+
+// Reads every derived federation of every key, starting at key `start`
+// and wrapping around, and renders them per key (in key order).
+std::string read_every_key(const GameSolution& s, std::uint32_t start) {
+  const auto& g = s.graph();
+  const bool safety = s.purpose().kind == tsystem::PurposeKind::kSafety;
+  const std::uint32_t n = g.key_count();
+  std::vector<std::string> per_key(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t k = (start + i) % n;
+    std::string& out = per_key[k];
+    out += s.winning(k).to_string();
+    if (safety) out += "|" + s.danger_region(k).to_string();
+    for (const auto& d : s.deltas(k)) {
+      out += "|" + s.winning_up_to(k, d.round).to_string();
+      const std::uint32_t round = safety || d.round == 0 ? 0 : d.round - 1;
+      for (const std::uint32_t ei : g.edges_out(k)) {
+        if (g.edges()[ei].inst.controllable) {
+          out += "|" + s.action_region(ei, round).to_string();
+        }
+      }
+    }
+  }
+  std::string all;
+  for (const std::string& key : per_key) all += key + "\n";
+  return all;
+}
+
+TEST_F(StrategyTest, SolutionCachesAreSafeForConcurrentReaders) {
+  // Every per-key cache entry (decoded deltas, action regions, danger
+  // regions) raced by 8 threads on a freshly solved game, each walking
+  // the keys from a different start: every thread must read exactly
+  // what a serial reader of another solution reads.  Run under TSan in
+  // CI (game_ filter).
+  for (const char* prop :
+       {"control: A<> IUT.Bright", "control: A[] !IUT.Bright"}) {
+    SCOPED_TRACE(prop);
+    const auto solve = [&] {
+      return GameSolver(light_.system, TestPurpose::parse(light_.system, prop))
+          .solve();
+    };
+    const std::string expected = read_every_key(*solve(), 0);
+    const auto fresh = solve();
+    constexpr int kThreads = 8;
+    std::vector<std::string> seen(kThreads);
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        seen[t] = read_every_key(
+            *fresh, static_cast<std::uint32_t>(t) * 7 %
+                        fresh->graph().key_count());
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t], expected) << "thread " << t;
     }
   }
 }
