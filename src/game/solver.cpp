@@ -55,6 +55,16 @@ GameSolution::KeyCache::~KeyCache() {
   }
 }
 
+void GameSolution::decode_win(const std::vector<PooledDelta>& deltas,
+                              const dbm::ZonePool& pool, Fed& out) {
+  std::size_t at = 0;
+  for (const PooledDelta& pd : deltas) {
+    pd.gained.materialize(out, pool, at);
+    at += pd.gained.size();
+  }
+  if (at == 0) out.clear();
+}
+
 GameSolution::KeyCache& GameSolution::key_cache(std::uint32_t k) const {
   std::atomic<KeyCache*>& slot = cache_[k].cache;
   if (KeyCache* c = slot.load(std::memory_order_acquire)) return *c;
@@ -68,18 +78,14 @@ const GameSolution::MaterializedKey& GameSolution::materialized(
   if (const MaterializedKey* m = slot.load(std::memory_order_acquire)) {
     return *m;
   }
-  // Decode without a lock (reads only the immutable pooled store).  The
-  // winning federation is the concatenation of the delta federations —
-  // gains are pairwise disjoint, so plain append reproduces the
-  // solver's member order.
+  // Decode without a lock (reads only the immutable pooled store).
   const dbm::ZonePool& pool = graph_->zone_pool();
   const std::uint32_t dim = graph_->system().clock_count();
   auto m = std::make_unique<MaterializedKey>(
       MaterializedKey{Fed(dim), {}, {}});
-  const bool concat = deltas_[k].size() >= 2;
+  if (deltas_[k].size() >= 2) decode_win(deltas_[k], pool, m->concat);
   m->deltas.reserve(deltas_[k].size());
   for (const PooledDelta& pd : deltas_[k]) {
-    if (concat) pd.gained.materialize(m->concat, pool, m->concat.size());
     Fed gained(dim);
     pd.gained.materialize(gained, pool);
     m->deltas.push_back({pd.round, std::move(gained)});
@@ -231,15 +237,8 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   dbm::ZonePool& zpool = solution->graph_->zone_pool();
   auto& win = solution->deltas_;  // per key: its winning deltas
 
-  // Decodes a key's winning federation (the concatenation of its delta
-  // federations; see GameSolution::materialized) into `out`.
   const auto win_fed = [&](std::uint32_t k, Fed& out) {
-    std::size_t at = 0;
-    for (const auto& pd : win[k]) {
-      pd.gained.materialize(out, zpool, at);
-      at += pd.gained.size();
-    }
-    if (at == 0) out.clear();
+    GameSolution::decode_win(win[k], zpool, out);
   };
 
   // Round 0: attractor seed keys win everywhere they are reachable

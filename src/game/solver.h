@@ -237,6 +237,11 @@ class GameSolution {
     ~CacheSlot() { delete cache.load(std::memory_order_relaxed); }
   };
 
+  // Decodes the concatenation of a key's deltas — its winning set —
+  // into `out` (the solver's member order: gains are pairwise disjoint,
+  // so appending reproduces it).
+  static void decode_win(const std::vector<PooledDelta>& deltas,
+                         const dbm::ZonePool& pool, dbm::Fed& out);
   [[nodiscard]] KeyCache& key_cache(std::uint32_t k) const;
   // Decodes key k's deltas on first call and returns them.
   [[nodiscard]] const MaterializedKey& materialized(std::uint32_t k) const;
