@@ -467,6 +467,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
       }, "fixpoint.refresh_loss");
       // Loss sets are only read by the NEXT round's body, so batch
       // application is safe; the pool write stays serial.
+      TIGAT_SPAN("fixpoint.compress_loss");
       for (std::size_t i = 0; i < count; ++i) {
         loss[changed[base + i]].assign(loss_staged[i], zpool);
         loss_staged[i] = Fed(dim);
