@@ -96,6 +96,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -616,14 +617,20 @@ int run_main(int argc, char** argv) {
   util::TablePrinter table({"purpose", "controllable", "states", "rounds",
                             "strategy rows", "time (s)", "mem (MB)"});
   bool all_winning = true;
+  // Held across the loop so every purpose after the first reuses the
+  // zone graph the first one explored.
+  std::shared_ptr<const semantics::SymbolicGraph> graph;
   for (const tsystem::TestPurpose& purpose : purposes) {
-    util::zone_memory().reset();
+    // Not reset(): the held graph's bytes are live and will be
+    // subtracted when it is freed.
+    util::zone_memory().reset_peak();
     util::Stopwatch watch;
     try {
       game::SolverOptions options;
       options.threads = threads;
       game::GameSolver solver(model.system, purpose, options);
       const auto solution = solver.solve();
+      if (graph == nullptr) graph = solution->shared_graph();
       game::Strategy strategy(solution);
       all_winning &= solution->winning_from_initial();
       table.add_row(

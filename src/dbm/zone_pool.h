@@ -3,9 +3,10 @@
 // limits (Behrmann et al., UPPAAL 4.0; David et al., UPPAAL-Tiga).
 //
 // This is the solving pipeline's only bulk zone store: the symbolic
-// graph's reach sets, the fixpoint's loss cache and the solution's
-// winning deltas are all PooledFeds over the graph's one ZonePool;
-// plain Feds appear only as per-worker scratch and as decoded caches.
+// graph's reach sets are PooledFeds over the graph's ZonePool, frozen
+// once exploration ends; the fixpoint's loss cache and the solution's
+// winning deltas live in the solution's fork() of that dictionary.
+// Plain Feds appear only as per-worker scratch and as decoded caches.
 //
 // A ZonePool hash-conses DBM ROW vectors (dim raw_t bounds each) into
 // one shared dictionary; a PooledFed stores each member zone as dim
@@ -42,9 +43,14 @@ class ZonePool {
   using RowId = std::uint32_t;
 
   explicit ZonePool(std::uint32_t dim);
-  ZonePool(const ZonePool&) = delete;
   ZonePool& operator=(const ZonePool&) = delete;
   ~ZonePool();
+
+  // A copy of the dictionary — same rows under the same ids — that can
+  // grow without touching this pool: a game solution extends the fork
+  // of its shared graph's frozen dictionary, so its row ids are exactly
+  // the ones interning into the graph's own pool would have produced.
+  [[nodiscard]] ZonePool fork() const { return ZonePool(*this); }
 
   // Serial-only; returns the id of the dictionary row equal to
   // row[0..dim), interning it on first sight.
@@ -64,6 +70,8 @@ class ZonePool {
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
+  ZonePool(const ZonePool& other);  // fork() only
+
   std::uint32_t dim_;
   std::vector<raw_t> slab_;  // row r at slab_[r*dim_ .. r*dim_+dim_)
   std::unordered_map<std::size_t, std::vector<RowId>> index_;

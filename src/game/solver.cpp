@@ -35,9 +35,10 @@ Slot& install(std::atomic<Slot*>& slot, std::unique_ptr<T> fresh) {
 
 }  // namespace
 
-GameSolution::GameSolution(std::unique_ptr<SymbolicGraph> graph,
+GameSolution::GameSolution(std::shared_ptr<const SymbolicGraph> graph,
                            tsystem::TestPurpose purpose)
     : graph_(std::move(graph)),
+      pool_(graph_->zone_pool().fork()),
       purpose_(std::move(purpose)),
       cache_(std::make_unique<CacheSlot[]>(graph_->key_count())),
       empty_fed_(graph_->system().clock_count()) {}
@@ -79,15 +80,14 @@ const GameSolution::MaterializedKey& GameSolution::materialized(
     return *m;
   }
   // Decode without a lock (reads only the immutable pooled store).
-  const dbm::ZonePool& pool = graph_->zone_pool();
   const std::uint32_t dim = graph_->system().clock_count();
   auto m = std::make_unique<MaterializedKey>(
       MaterializedKey{Fed(dim), {}, {}});
-  if (deltas_[k].size() >= 2) decode_win(deltas_[k], pool, m->concat);
+  if (deltas_[k].size() >= 2) decode_win(deltas_[k], pool_, m->concat);
   m->deltas.reserve(deltas_[k].size());
   for (const PooledDelta& pd : deltas_[k]) {
     Fed gained(dim);
-    pd.gained.materialize(gained, pool);
+    pd.gained.materialize(gained, pool_);
     m->deltas.push_back({pd.round, std::move(gained)});
   }
   if (m->deltas.size() >= 2) {
@@ -186,9 +186,8 @@ bool GameSolution::winning_from_initial() const {
   // Pooled membership test — no decoding for the one question every
   // Table 1 cell asks.
   const std::vector<std::int64_t> zero(graph_->system().clock_count(), 0);
-  const dbm::ZonePool& pool = graph_->zone_pool();
   for (const PooledDelta& pd : deltas_[graph_->initial_key()]) {
-    if (pd.gained.contains_point(zero, pool, 1)) return true;
+    if (pd.gained.contains_point(zero, pool_, 1)) return true;
   }
   return false;
 }
@@ -211,7 +210,9 @@ GameSolver::GameSolver(const tsystem::System& system,
 // decode into chunk-local scratch federations, and every pool WRITE
 // (compressing gains and refreshed loss sets) happens in the serial
 // merge sections, in key order — so the dictionary content is
-// deterministic too.
+// deterministic too.  Those writes go to the solution's fork of the
+// graph's dictionary; the graph itself, possibly shared with other
+// solutions, is only read.
 std::shared_ptr<const GameSolution> GameSolver::solve() {
   TIGAT_SPAN("solve");
   util::Stopwatch watch;
@@ -227,14 +228,17 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   const bool safety = purpose_.kind == tsystem::PurposeKind::kSafety;
   const bool attacker_ctrl = !safety;
 
-  auto graph = std::make_unique<SymbolicGraph>(*sys_, options_.exploration);
-  graph->explore(&pool);
-  const std::uint32_t n = graph->key_count();
-  const std::uint32_t dim = sys_->clock_count();
-
-  auto solution = std::make_shared<GameSolution>(std::move(graph), purpose_);
+  bool reused = false;
+  auto solution = std::make_shared<GameSolution>(
+      SymbolicGraph::explored(*sys_, options_.exploration, &pool, &reused),
+      purpose_);
+  if (reused && obs::metrics_enabled()) {
+    obs::metrics().counter("solver.graph_reuses").add(1);
+  }
   const SymbolicGraph& g = *solution->graph_;
-  dbm::ZonePool& zpool = solution->graph_->zone_pool();
+  const std::uint32_t n = g.key_count();
+  const std::uint32_t dim = sys_->clock_count();
+  dbm::ZonePool& zpool = solution->pool_;
   auto& win = solution->deltas_;  // per key: its winning deltas
 
   const auto win_fed = [&](std::uint32_t k, Fed& out) {
@@ -525,10 +529,12 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     for (const auto& pd : pds) st.winning_zones += pd.gained.size();
   }
   st.peak_zone_bytes = util::zone_memory().peak();
-  st.explore_expand_seconds = gstats.expand_seconds;
-  st.explore_merge_seconds = gstats.merge_seconds;
-  st.zone_pool_rows = gstats.pool_rows;
-  st.zone_pool_bytes = gstats.pool_bytes;
+  if (!reused) {
+    st.explore_expand_seconds = gstats.expand_seconds;
+    st.explore_merge_seconds = gstats.merge_seconds;
+  }
+  st.zone_pool_rows = zpool.row_count();
+  st.zone_pool_bytes = zpool.memory_bytes();
   st.solve_seconds = watch.seconds();
 
   // Publish the finished stats into the metrics registry: same fields,

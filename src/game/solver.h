@@ -72,12 +72,25 @@
 //
 // Every bulk zone store — the graph's reach sets, the fixpoint's loss
 // cache and the solution's winning deltas — is dictionary-compressed
-// (dbm/zone_pool.h): a zone costs dim row ids into the graph's shared
-// row dictionary instead of an inline matrix, which is what makes LEP
+// (dbm/zone_pool.h): a zone costs dim row ids into a hash-consed row
+// dictionary instead of an inline matrix, which is what makes LEP
 // n = 6 solvable in CI-class memory.  The fixpoint decodes what a
 // round reads into worker-local scratch federations and compresses its
 // gains in serial, key-ordered merges, so the dictionary content is as
 // deterministic as the solution.
+//
+// ── one explored graph per model ───────────────────────────────────────
+//
+// The zone graph depends only on the system and the exploration
+// options, not on the purpose.  A solve takes it from
+// SymbolicGraph::explored: the first solve of a finalized System
+// explores it, and every later solve of the same System object under
+// equal ExplorationOptions reuses it while some solution still holds
+// it (Table 1's three LEP purposes explore once).  Once explored the
+// graph is immutable and shared by reference; the fixpoint's loss and
+// winning rows go into the solution's own fork of the graph's frozen
+// row dictionary, so row ids, member order, strategies and .tgs bytes
+// equal those of a solve that explored alone.
 //
 // The accessors (winning, deltas, winning_up_to, rank, action_region,
 // danger_region) decode or derive a key's federations on first touch
@@ -122,19 +135,26 @@ struct SolverStats {
   std::size_t winning_zones = 0;
   std::size_t edges = 0;
   std::size_t rounds = 0;
+  // High-water mark of the zone-memory meter during this solve, from
+  // the bytes already live when it began.  A solve that reuses a
+  // shared graph counts that graph once, as part of those live bytes.
   std::size_t peak_zone_bytes = 0;
   double solve_seconds = 0.0;
   // Exploration phase split: parallel wave expansion vs the serial
   // seal+merge remainder (the striped interner shrinks the latter).
+  // Both are 0 when the solve reused a graph another solve explored.
   double explore_expand_seconds = 0.0;
   double explore_merge_seconds = 0.0;
-  // Zone-pool dictionary stats.
+  // The solution's row dictionary: the graph's rows plus the
+  // fixpoint's.
   std::size_t zone_pool_rows = 0;
   std::size_t zone_pool_bytes = 0;
 };
 
 // The solved game: symbolic graph + ranked winning federations.
-// Shared (immutably) by strategies and the test executor.
+// Shared (immutably) by strategies and the test executor; the graph is
+// shared with every other solution over the same model (see the file
+// comment).
 class GameSolution {
  public:
   struct Delta {
@@ -142,11 +162,18 @@ class GameSolution {
     dbm::Fed gained;
   };
 
-  GameSolution(std::unique_ptr<semantics::SymbolicGraph> graph,
+  GameSolution(std::shared_ptr<const semantics::SymbolicGraph> graph,
                tsystem::TestPurpose purpose);
 
   [[nodiscard]] const semantics::SymbolicGraph& graph() const {
     return *graph_;
+  }
+  // The graph as a reference of its own: holding it keeps later solves
+  // of the same model from exploring again, without keeping this
+  // solution's winning sets and caches alive.
+  [[nodiscard]] const std::shared_ptr<const semantics::SymbolicGraph>&
+  shared_graph() const {
+    return graph_;
   }
   [[nodiscard]] const tsystem::TestPurpose& purpose() const { return purpose_; }
 
@@ -246,7 +273,10 @@ class GameSolution {
   // Decodes key k's deltas on first call and returns them.
   [[nodiscard]] const MaterializedKey& materialized(std::uint32_t k) const;
 
-  std::unique_ptr<semantics::SymbolicGraph> graph_;
+  std::shared_ptr<const semantics::SymbolicGraph> graph_;
+  // The fork of the graph's row dictionary that the fixpoint's loss and
+  // winning rows go into; every decoder of deltas_ reads it.
+  dbm::ZonePool pool_;
   tsystem::TestPurpose purpose_;
   std::vector<bool> goal_key_;
   // The winning store: a key's winning set is the concatenation of its

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -39,6 +40,78 @@ SymbolicGraph::SymbolicGraph(const tsystem::System& system,
           std::max(max_constants_[i], options_.extra_max_constants[i]);
     }
   }
+}
+
+namespace {
+
+// The explored graphs alive somewhere in the process, by System object
+// and options.  The mutex guards lookups and inserts only; no entry
+// owns its graph.
+struct GraphTable {
+  struct Entry {
+    const tsystem::System* system;
+    std::uint64_t serial;
+    ExplorationOptions options;
+    std::weak_ptr<const SymbolicGraph> graph;
+  };
+
+  // Returns the live graph registered for the key, if any; drops the
+  // entries whose graph is gone.  Caller holds `mu`.
+  std::shared_ptr<const SymbolicGraph> find(const tsystem::System& system,
+                                            const ExplorationOptions& options) {
+    std::erase_if(entries, [](const Entry& e) { return e.graph.expired(); });
+    for (const Entry& e : entries) {
+      if (e.system == &system && e.serial == system.serial() &&
+          e.options == options) {
+        if (auto graph = e.graph.lock()) return graph;
+      }
+    }
+    return nullptr;
+  }
+
+  std::mutex mu;
+  std::vector<Entry> entries;
+};
+
+GraphTable& graph_table() {
+  static GraphTable table;
+  return table;
+}
+
+}  // namespace
+
+std::shared_ptr<const SymbolicGraph> SymbolicGraph::explored(
+    const tsystem::System& system, const ExplorationOptions& options,
+    util::ThreadPool* pool, bool* reused) {
+  // A moved-from System has lost its serial and shares nothing.
+  const bool shareable = system.serial() != 0;
+  GraphTable& table = graph_table();
+  if (shareable) {
+    const std::lock_guard lock(table.mu);
+    if (auto graph = table.find(system, options)) {
+      if (reused != nullptr) *reused = true;
+      return graph;
+    }
+  }
+  if (reused != nullptr) *reused = false;
+  // Not make_shared: the table's weak references would keep a combined
+  // allocation — the whole graph object — alive after its last holder.
+  auto fresh = std::make_unique<SymbolicGraph>(system, options);
+  fresh->explore(pool);
+  std::shared_ptr<const SymbolicGraph> graph(std::move(fresh));
+  if (shareable) {
+    // A concurrent first solve may have registered its graph meanwhile;
+    // it stays the shared one and this caller keeps its own.  (Held
+    // past the lock: dropping the last reference destroys a graph.)
+    std::shared_ptr<const SymbolicGraph> registered;
+    const std::lock_guard lock(table.mu);
+    registered = table.find(system, options);
+    if (registered == nullptr) {
+      table.entries.push_back(
+          {&system, system.serial(), options, std::weak_ptr(graph)});
+    }
+  }
+  return graph;
 }
 
 std::optional<std::uint32_t> SymbolicGraph::find_key(

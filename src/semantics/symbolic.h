@@ -22,6 +22,13 @@
 // federation on demand; callers that read a key several times decode
 // it once and keep the result.
 //
+// Sharing: an explored graph is immutable — nothing writes to it, its
+// dictionary included, once explore() returns.  It depends only on the
+// system and the ExplorationOptions, so explored() hands one graph to
+// every solve of the same finalized System under equal options while
+// any of them is alive; the game solver's own rows go into a fork of
+// the dictionary (game/solver.h).
+//
 // Scale: keys live in a striped concurrent interner
 // (util/striped_intern.h): workers intern during wave expansion,
 // numbering is assigned between waves in deterministic first-encounter
@@ -30,6 +37,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -81,12 +89,29 @@ struct ExplorationOptions {
   // Wall-clock budget for exploration (seconds); 0 = unlimited.  Used
   // by the Table 1 harness to reproduce the paper's "/" cells.
   double deadline_seconds = 0.0;
+
+  // Every field, limits included: a graph explored under one budget is
+  // never handed to a solve that asked for another.
+  [[nodiscard]] bool operator==(const ExplorationOptions&) const = default;
 };
 
 class SymbolicGraph {
  public:
   explicit SymbolicGraph(const tsystem::System& system,
                          ExplorationOptions options = {});
+
+  // The explored graph of `system` under `options`, shared: while some
+  // holder keeps a graph returned for the same System object (same
+  // address and finalize() serial) and equal options alive, that graph
+  // is returned again and nothing is explored (`*reused` tells which).
+  // Otherwise a fresh graph is explored — outside the table's lock, so
+  // concurrent first solves explore side by side — and registered only
+  // once explore() completed; an ExplorationLimit leaves nothing
+  // behind.  The table holds weak references: a graph is freed when its
+  // last holder lets go, exactly as an unshared one would be.
+  [[nodiscard]] static std::shared_ptr<const SymbolicGraph> explored(
+      const tsystem::System& system, const ExplorationOptions& options,
+      util::ThreadPool* pool = nullptr, bool* reused = nullptr);
 
   // Runs forward exploration to the fixpoint (or throws
   // ExplorationLimit).  Idempotent.
@@ -115,10 +140,9 @@ class SymbolicGraph {
       const DiscreteKey& key) const;
 
   // ── reach federations ────────────────────────────────────────────────
-  // The row dictionary behind every pooled federation of this graph
-  // (the solver adds its loss and winning rows to it as well).
+  // The row dictionary behind every reach federation of this graph,
+  // frozen once explored (a solver forks it for its own rows).
   [[nodiscard]] const dbm::ZonePool& zone_pool() const { return pool_; }
-  [[nodiscard]] dbm::ZonePool& zone_pool() { return pool_; }
 
   // Decodes the reach federation of key k into `scratch` and returns
   // it (member zones and order exactly as exploration added them).

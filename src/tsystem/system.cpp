@@ -1,6 +1,7 @@
 #include "tsystem/system.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/assert.h"
 #include "util/text.h"
@@ -230,6 +231,8 @@ void System::finalize() {
       }
     }
   }
+  static std::atomic<std::uint64_t> next_serial{1};
+  serial_.value = next_serial.fetch_add(1, std::memory_order_relaxed);
   finalized_ = true;
 }
 

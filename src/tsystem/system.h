@@ -32,6 +32,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dbm/bound.h"
@@ -234,6 +235,12 @@ class System {
   // layer touches the system; throws ModelError on inconsistencies.
   void finalize();
   [[nodiscard]] bool finalized() const { return finalized_; }
+  // Process-unique, nonzero stamp of the finalize() that froze this
+  // object; 0 before finalize() and on a moved-from System.  With the
+  // object's address it identifies one frozen model, which is what lets
+  // solves share an explored zone graph (SymbolicGraph::explored) while
+  // a System rebuilt at a reused address never matches a stale one.
+  [[nodiscard]] std::uint64_t serial() const { return serial_.value; }
 
   // ── accessors (post-finalize) ───────────────────────────────────────
   [[nodiscard]] std::uint32_t clock_count() const {  // DBM dimension
@@ -278,6 +285,17 @@ class System {
   DataLayout data_;
   std::vector<dbm::bound_t> max_constants_ = {0};
   bool finalized_ = false;
+  // A move hands the stamp over and leaves 0 behind.
+  struct Serial {
+    std::uint64_t value = 0;
+    Serial() = default;
+    Serial(Serial&& other) noexcept : value(std::exchange(other.value, 0)) {}
+    Serial& operator=(Serial&& other) noexcept {
+      value = std::exchange(other.value, 0);
+      return *this;
+    }
+  };
+  Serial serial_;
 };
 
 }  // namespace tigat::tsystem

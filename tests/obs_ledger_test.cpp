@@ -49,10 +49,13 @@ class LedgerTest : public ::testing::Test {
       : spec_(make_smart_light()), plant_(make_smart_light_plant_only()) {}
 
   [[nodiscard]] Strategy strategy_with_threads(unsigned threads) const {
+    return strategy_with_threads(spec_.system, threads);
+  }
+  [[nodiscard]] static Strategy strategy_with_threads(
+      const tsystem::System& spec, unsigned threads) {
     SolverOptions sopts;
     sopts.threads = threads;
-    GameSolver solver(spec_.system, TestPurpose::parse(spec_.system, kProperty),
-                      sopts);
+    GameSolver solver(spec, TestPurpose::parse(spec, kProperty), sopts);
     return Strategy(solver.solve());
   }
 
@@ -80,8 +83,11 @@ class LedgerTest : public ::testing::Test {
 // ------------------------------------------------------- determinism
 
 TEST_F(LedgerTest, ByteIdenticalAcrossSolverThreadCounts) {
+  // The parallel solve gets a System of its own: over spec_'s it would
+  // reuse the zone graph the serial solve explored.
+  const models::SmartLight parallel_spec = make_smart_light();
   const Strategy serial = strategy_with_threads(1);
-  const Strategy parallel = strategy_with_threads(8);
+  const Strategy parallel = strategy_with_threads(parallel_spec.system, 8);
 
   CampaignOptions opts;
   opts.runs = 3;

@@ -8,6 +8,9 @@
 //   * the metric counters the solver publishes equal SolverStats
 //     EXACTLY — same integers, not approximations — at 1 and 8
 //     threads;
+//   * a solve that reuses another solve's zone graph counts one
+//     `solver.graph_reuses`, reports no exploration time and records
+//     no explore.* span;
 //   * histogram bucket boundaries follow `v <= bound` semantics at the
 //     exact edges.
 //
@@ -285,6 +288,34 @@ TEST(ObsMetrics, SolverCountersEqualSolverStatsExactly) {
     EXPECT_LE(metrics().counter("solver.fixpoint.gained_zones").value(),
               st.winning_zones);
   }
+}
+
+TEST(ObsMetrics, GraphReuseIsCountedAndNotTraced) {
+  models::Lep lep = models::make_lep({.nodes = 3});
+  const auto solve = [&](const std::string& purpose) {
+    game::SolverOptions options;
+    options.threads = 2;
+    return game::GameSolver(lep.system,
+                            tsystem::TestPurpose::parse(lep.system, purpose),
+                            options)
+        .solve();
+  };
+  enable_metrics();
+  metrics().reset();
+  const auto first = solve(models::lep_tp1());
+  EXPECT_EQ(metrics().counter("solver.graph_reuses").value(), 0u);
+  Tracer::instance().enable();
+  const auto second = solve(models::lep_tp2());
+  Tracer::instance().disable();
+  disable_metrics();
+  ASSERT_EQ(&first->graph(), &second->graph());
+  EXPECT_EQ(metrics().counter("solver.graph_reuses").value(), 1u);
+  EXPECT_EQ(second->stats().explore_expand_seconds, 0.0);
+  EXPECT_EQ(second->stats().explore_merge_seconds, 0.0);
+  EXPECT_EQ(metrics().gauge("solver.explore_expand_seconds").value(), 0.0);
+  const std::string json = Tracer::instance().chrome_trace_json();
+  EXPECT_NE(json.find("\"fixpoint.round\""), std::string::npos);
+  EXPECT_EQ(json.find("\"explore."), std::string::npos);
 }
 
 TEST(ObsMetrics, SnapshotIsValidVersionedJson) {

@@ -10,6 +10,11 @@
 // and strategy-guided traces.
 // Safety games (`A[] φ`, the dual fixpoint) get the same treatment.
 // It is the test the CI ThreadSanitizer job leans on.
+//
+// Every thread count solves its own freshly built System: solving the
+// same System while the 1-thread solution is alive would reuse that
+// solution's explored graph (SymbolicGraph::explored), and the
+// exploration would no longer be compared across thread counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -38,10 +43,12 @@ std::shared_ptr<const GameSolution> solve_with_threads(
   return solver.solve();
 }
 
-// Structural + semantic equality of two solutions of the same game.
+// Structural + semantic equality of two solutions of the same game,
+// each explored on its own.
 void expect_same_solution(const GameSolution& a, const GameSolution& b,
                           unsigned threads) {
   SCOPED_TRACE("threads=" + std::to_string(threads));
+  ASSERT_NE(&a.graph(), &b.graph()) << "the solves shared one exploration";
   EXPECT_EQ(a.winning_from_initial(), b.winning_from_initial());
   EXPECT_EQ(a.stats().rounds, b.stats().rounds);
   EXPECT_EQ(a.stats().keys, b.stats().keys);
@@ -77,7 +84,9 @@ TEST(SolverDeterminism, LepN4AcrossThreadCounts) {
   models::Lep lep = models::make_lep({.nodes = 4});
   const auto base = solve_with_threads(lep.system, models::lep_tp1(), 1);
   for (const unsigned threads : {2u, 8u}) {
-    const auto sol = solve_with_threads(lep.system, models::lep_tp1(), threads);
+    const models::Lep fresh = models::make_lep({.nodes = 4});
+    const auto sol =
+        solve_with_threads(fresh.system, models::lep_tp1(), threads);
     expect_same_solution(*base, *sol, threads);
     // The textual strategy is the artifact a tester ships; identical
     // federations must render identically.
@@ -91,7 +100,8 @@ TEST(SolverDeterminism, SmartLightAcrossThreadCounts) {
        {"control: A<> IUT.Bright", "control: A<> IUT.Dim"}) {
     const auto base = solve_with_threads(spec.system, prop, 1);
     for (const unsigned threads : {2u, 8u}) {
-      const auto sol = solve_with_threads(spec.system, prop, threads);
+      const models::SmartLight fresh = models::make_smart_light();
+      const auto sol = solve_with_threads(fresh.system, prop, threads);
       expect_same_solution(*base, *sol, threads);
       EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
     }
@@ -107,7 +117,8 @@ TEST(SolverDeterminism, SafetyAcrossThreadCounts) {
        {"control: A[] !IUT.Bright", "control: A[] IUT.Off"}) {
     const auto base = solve_with_threads(spec.system, prop, 1);
     for (const unsigned threads : {2u, 8u}) {
-      const auto sol = solve_with_threads(spec.system, prop, threads);
+      const models::SmartLight fresh = models::make_smart_light();
+      const auto sol = solve_with_threads(fresh.system, prop, threads);
       expect_same_solution(*base, *sol, threads);
       EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
     }
@@ -123,7 +134,9 @@ TEST(SolverDeterminism, TracedSolvesBitIdentical) {
   obs::Tracer::instance().enable();
   obs::enable_metrics();
   for (const unsigned threads : {1u, 8u}) {
-    const auto sol = solve_with_threads(lep.system, models::lep_tp1(), threads);
+    const models::Lep fresh = models::make_lep({.nodes = 4});
+    const auto sol =
+        solve_with_threads(fresh.system, models::lep_tp1(), threads);
     expect_same_solution(*base, *sol, threads);
     EXPECT_EQ(Strategy(base).to_string(), Strategy(sol).to_string());
   }
@@ -148,8 +161,10 @@ TEST(SolverDeterminism, StrategyGuidedTracesIdentical) {
   const testing::TestReport base_report = base_exec.run();
 
   for (const unsigned threads : {2u, 8u}) {
+    const models::SmartLight fresh = models::make_smart_light();
     const auto sol =
-        solve_with_threads(spec.system, "control: A<> IUT.Bright", threads);
+        solve_with_threads(fresh.system, "control: A<> IUT.Bright", threads);
+    ASSERT_NE(&base->graph(), &sol->graph());
     Strategy strategy(sol);
     testing::SimulatedImplementation imp(plant.system, kScale,
                                          testing::ImpPolicy{kScale, {}});

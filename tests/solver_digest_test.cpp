@@ -1,159 +1,100 @@
 // Golden digests of solved games.
 //
-// Each case solves one shipped model and purpose at 1, 2 and 8 solver
-// threads and hashes the result twice with FNV-1a 64:
-//   * the solution digest covers, per key in key order, the key's
-//     location vector and data valuation, the raw DBM cells of every
-//     member zone of its reach federation (member order included), and
-//     every winning delta's round and raw member zones, plus the
-//     fixpoint's round count;
-//   * the table digest covers the bytes of the compiled .tgs image.
-// The pinned values were recorded when the solver still had two zone
-// stores (plain Fed arrays and the dictionary-compressed pool) and
-// both produced these exact digests, so a change to storage, numbering,
-// member order or compilation that alters any solution shows up here
-// as a mismatch.
+// Each case solves shipped models and purposes at 1, 2 and 8 solver
+// threads and checks the solution and .tgs digests against the pins in
+// support/solution_digest.h.  The pinned values were recorded when the
+// solver still had two zone stores (plain Fed arrays and the
+// dictionary-compressed pool) and both produced these exact digests,
+// so a change to storage, numbering, member order or compilation that
+// alters any solution shows up here as a mismatch.
+//
+// Two paths are pinned: SolverDigest drops each solution before the
+// next solve, so every solve explores its own zone graph;
+// SolverDigestShared keeps every solution of one loaded model alive,
+// so all purposes after the first run their fixpoint over the graph
+// the first one explored (SymbolicGraph::explored).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
+#include <cstring>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "decision/compiler.h"
 #include "game/solver.h"
-#include "lang/lang.h"
-
-#ifndef TIGAT_MODEL_DIR
-#error "TIGAT_MODEL_DIR must point at examples/models"
-#endif
+#include "support/solution_digest.h"
 
 namespace tigat::game {
 namespace {
 
-class Fnv1a {
- public:
-  void byte(std::uint8_t b) {
-    h_ ^= b;
-    h_ *= 0x100000001b3ull;
-  }
-  void u32(std::uint32_t v) {
-    for (int s = 0; s < 32; s += 8) byte(static_cast<std::uint8_t>(v >> s));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void zones(const dbm::Fed& fed) {
-    u32(static_cast<std::uint32_t>(fed.size()));
-    for (const dbm::Dbm& z : fed.zones()) {
-      for (std::uint32_t i = 0; i < z.dimension(); ++i) {
-        for (std::uint32_t j = 0; j < z.dimension(); ++j) i32(z.at(i, j));
-      }
-    }
-  }
-  [[nodiscard]] std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h_));
-    return buf;
-  }
+using test_support::kPins;
+using test_support::load_pinned_model;
+using test_support::Pin;
+using test_support::solution_digest;
+using test_support::table_digest;
 
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-std::string solution_digest(const GameSolution& s) {
-  const semantics::SymbolicGraph& g = s.graph();
-  Fnv1a h;
-  h.u32(static_cast<std::uint32_t>(s.stats().rounds));
-  h.u32(g.key_count());
-  dbm::Fed scratch(g.system().clock_count());
-  for (std::uint32_t k = 0; k < g.key_count(); ++k) {
-    const semantics::DiscreteKey& key = g.key(k);
-    h.u32(static_cast<std::uint32_t>(key.locs.size()));
-    for (const tsystem::LocId l : key.locs) h.u32(l);
-    h.u32(static_cast<std::uint32_t>(key.data.slot_count()));
-    for (const std::int32_t v : key.data.values()) h.i32(v);
-    h.zones(g.reach(k, scratch));
-    const auto& deltas = s.deltas(k);
-    h.u32(static_cast<std::uint32_t>(deltas.size()));
-    for (const GameSolution::Delta& d : deltas) {
-      h.u32(d.round);
-      h.zones(d.gained);
-    }
-  }
-  return h.hex();
-}
-
-std::string table_digest(const GameSolution& s) {
-  const decision::DecisionTable table = decision::compile(s);
-  Fnv1a h;
-  for (const std::uint8_t b : table.bytes()) h.byte(b);
-  return h.hex();
-}
-
-struct Pin {
-  const char* model;    // file under examples/models
-  std::int64_t n;       // --param N (0: the file's default)
-  const char* purpose;  // purpose source
-  const char* solution;
-  const char* table;
-};
-
-void PrintTo(const Pin& pin, std::ostream* os) {
-  *os << pin.model << " N=" << pin.n << " " << pin.purpose;
+std::shared_ptr<const GameSolution> solve(const tsystem::System& system,
+                                          const char* purpose,
+                                          unsigned threads) {
+  SolverOptions options;
+  options.threads = threads;
+  return GameSolver(system, tsystem::TestPurpose::parse(system, purpose),
+                    options)
+      .solve();
 }
 
 class SolverDigest : public ::testing::TestWithParam<Pin> {};
 
 TEST_P(SolverDigest, MatchesPinAtEveryThreadCount) {
   const Pin& pin = GetParam();
-  lang::CompileOptions options;
-  if (pin.n != 0) options.params = {{"N", pin.n}};
-  const lang::LoadedModel model = lang::load_model(
-      std::string(TIGAT_MODEL_DIR) + "/" + pin.model, options);
+  const lang::LoadedModel model = load_pinned_model(pin.model, pin.n);
   for (const unsigned threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    SolverOptions solver_options;
-    solver_options.threads = threads;
-    GameSolver solver(model.system,
-                      tsystem::TestPurpose::parse(model.system, pin.purpose),
-                      solver_options);
-    const auto solution = solver.solve();
+    const auto solution = solve(model.system, pin.purpose, threads);
     EXPECT_EQ(solution_digest(*solution), pin.solution);
     EXPECT_EQ(table_digest(*solution), pin.table);
   }
 }
 
-constexpr const char* kLepTp1 =
-    "control: A<> (IUT.betterInfo == 1) and IUT.forward";
-constexpr const char* kLepTp2 =
-    "control: A<> forall (i : inUse) inUse[i] == 1";
-constexpr const char* kLepTp3 =
-    "control: A<> (forall (i : inUse) inUse[i] == 1) and IUT.idle";
+INSTANTIATE_TEST_SUITE_P(Pinned, SolverDigest, ::testing::ValuesIn(kPins));
 
-INSTANTIATE_TEST_SUITE_P(
-    Pinned, SolverDigest,
-    ::testing::Values(
-        Pin{"smart_light.tg", 0, "control: A<> IUT.Bright",
-            "7f6d20c85e1d0e38", "a08aceabe3806690"},
-        Pin{"smart_light.tg", 0, "control: A<> IUT.Dim",
-            "04d1ac6c9228aee4", "54eaa7981c5489fc"},
-        Pin{"smart_light.tg", 0, "control: A[] !IUT.Bright",
-            "edd81b51e10f6e95", "2532e6ff073f0cfe"},
-        Pin{"smart_light_safety.tg", 0, "control: A[] IUT.On",
-            "4f62d1a56d53704b", "76a604c4cb0d97d6"},
-        Pin{"lep.tg", 3, kLepTp1,
-            "ef7564a6832b5ced", "49c82c2084838d0b"},
-        Pin{"lep.tg", 3, kLepTp2,
-            "fd69f6b540dceae8", "eeb7b8ac43b332f7"},
-        Pin{"lep.tg", 3, kLepTp3,
-            "d5994c3bf5e3a7cc", "507f8c2ea13d4449"},
-        Pin{"lep.tg", 4, kLepTp1,
-            "8310a1b748a676db", "a68a49587483496a"},
-        Pin{"lep.tg", 4, kLepTp2,
-            "c41c26cad7e266ea", "a11f68b554ed405c"},
-        Pin{"lep.tg", 4, kLepTp3,
-            "92b4f115cfbb70c5", "f472a316c990ee8c"}));
+struct Model {
+  const char* file;  // under examples/models
+  std::int64_t n;    // --param N (0: the file's default)
+};
+
+void PrintTo(const Model& model, std::ostream* os) {
+  *os << model.file << " N=" << model.n;
+}
+
+class SolverDigestShared : public ::testing::TestWithParam<Model> {};
+
+TEST_P(SolverDigestShared, AllPurposesOfOneModelShareOneGraph) {
+  const Model& m = GetParam();
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // Loaded per thread count, so each count explores once itself.
+    const lang::LoadedModel model = load_pinned_model(m.file, m.n);
+    std::vector<std::shared_ptr<const GameSolution>> solutions;
+    for (const Pin& pin : kPins) {
+      if (std::strcmp(pin.model, m.file) != 0 || pin.n != m.n) continue;
+      SCOPED_TRACE(pin.purpose);
+      solutions.push_back(solve(model.system, pin.purpose, threads));
+      EXPECT_EQ(solution_digest(*solutions.back()), pin.solution);
+      EXPECT_EQ(table_digest(*solutions.back()), pin.table);
+    }
+    ASSERT_EQ(solutions.size(), 3u);
+    for (const auto& solution : solutions) {
+      EXPECT_EQ(&solution->graph(), &solutions.front()->graph());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Pinned, SolverDigestShared,
+                         ::testing::Values(Model{"smart_light.tg", 0},
+                                           Model{"lep.tg", 3},
+                                           Model{"lep.tg", 4}));
 
 }  // namespace
 }  // namespace tigat::game
