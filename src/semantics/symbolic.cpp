@@ -538,8 +538,6 @@ SymbolicGraph::Stats SymbolicGraph::stats() const {
   s.keys = intern_.size();
   s.edges = edges_.size();
   for (const dbm::PooledFed& f : reach_) s.zones += f.size();
-  s.pool_rows = pool_.row_count();
-  s.pool_bytes = pool_.memory_bytes();
   s.peak_zone_bytes = util::zone_memory().peak();
   s.expand_seconds = expand_seconds_;
   s.merge_seconds = merge_seconds_;

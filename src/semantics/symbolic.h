@@ -190,9 +190,6 @@ class SymbolicGraph {
     // merge share is the Amdahl cap the striped interner attacks.
     double expand_seconds = 0.0;
     double merge_seconds = 0.0;
-    // Zone-pool dictionary stats.
-    std::size_t pool_rows = 0;
-    std::size_t pool_bytes = 0;
   };
   [[nodiscard]] Stats stats() const;
 
