@@ -91,11 +91,11 @@
 //   3  solver resource limit hit (semantics::ExplorationLimit)
 //   4  campaign verdict FAIL (sound evidence of non-conformance)
 //   5  campaign verdict FLAKY or UNRESPONSIVE (inconclusive)
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -122,6 +122,7 @@
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 #include "util/text.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -132,6 +133,27 @@ constexpr int kExitIo = 2;
 constexpr int kExitSolverLimit = 3;
 constexpr int kExitFailVerdict = 4;
 constexpr int kExitInconclusive = 5;
+
+// A campaign run's wall-clock budget tops out at a year: the deadline
+// is kept in nanoseconds, and a year of them still fits in 64 bits.
+constexpr long long kMaxRunDeadlineMs = 365LL * 24 * 3600 * 1000;
+
+// The value of a numeric `--flag=N`, parsed strictly (util::parse_int):
+// garbage, a sign the flag cannot take or a value outside [lo, hi] is
+// a usage error, never a silent 0 or a wrapped negative.
+template <typename T>
+T flag_number(const char* arg, T lo = std::numeric_limits<T>::min(),
+              T hi = std::numeric_limits<T>::max()) {
+  const char* const eq = std::strchr(arg, '=');
+  const auto value = tigat::util::parse_int<T>(eq + 1, lo, hi);
+  if (!value) {
+    std::fprintf(stderr, "%.*s expects an integer in [%s, %s], got '%s'\n",
+                 static_cast<int>(eq - arg), arg, std::to_string(lo).c_str(),
+                 std::to_string(hi).c_str(), eq + 1);
+    std::exit(kExitUsageOrModel);
+  }
+  return *value;
+}
 
 // Exports whatever telemetry was requested; called on every exit path
 // that completed the pipeline (solve and serve).  Returns false only
@@ -263,23 +285,21 @@ int run_main(int argc, char** argv) {
   std::vector<std::string> extra_purposes;
   const auto add_param = [&](const char* spec) {
     const char* eq = spec ? std::strchr(spec, '=') : nullptr;
-    char* end = nullptr;
-    errno = 0;
-    const long long value = eq ? std::strtoll(eq + 1, &end, 10) : 0;
-    if (!eq || eq == spec || end == eq + 1 || (end && *end != '\0') ||
-        errno == ERANGE) {
+    const auto value =
+        eq ? util::parse_int<std::int64_t>(eq + 1) : std::nullopt;
+    if (!value || eq == spec) {
       std::fprintf(stderr, "--param expects NAME=VALUE, got '%s'\n",
                    spec ? spec : "");
       std::exit(kExitUsageOrModel);
     }
-    compile_options.params.emplace_back(std::string(spec, eq),
-                                        static_cast<std::int64_t>(value));
+    compile_options.params.emplace_back(std::string(spec, eq), *value);
   };
   for (int i = first_arg; i < argc; ++i) {
     if (std::strcmp(argv[i], "--print-model") == 0) {
       print_model = true;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      threads =
+          flag_number<unsigned>(argv[i], 0, util::ThreadPool::kMaxThreads);
     } else if (std::strncmp(argv[i], "--strategy-out=", 15) == 0) {
       strategy_out = argv[i] + 15;
     } else if (std::strncmp(argv[i], "--strategy-in=", 14) == 0) {
@@ -298,18 +318,19 @@ int run_main(int argc, char** argv) {
       fault_spec = argv[i] + 9;
       campaign_mode = true;
     } else if (std::strncmp(argv[i], "--fault-seed=", 13) == 0) {
-      fault_seed = std::strtoull(argv[i] + 13, nullptr, 10);
+      fault_seed = flag_number<std::uint64_t>(argv[i]);
     } else if (std::strncmp(argv[i], "--runs=", 7) == 0) {
-      runs = std::atol(argv[i] + 7);
+      runs = flag_number<long>(argv[i], 0);
       campaign_mode = true;
     } else if (std::strncmp(argv[i], "--run-deadline-ms=", 18) == 0) {
-      run_deadline_ms = std::atoll(argv[i] + 18);
+      run_deadline_ms =
+          flag_number<long long>(argv[i], 0, kMaxRunDeadlineMs);
     } else if (std::strncmp(argv[i], "--retries=", 10) == 0) {
-      retries = std::atol(argv[i] + 10);
+      retries = flag_number<long>(argv[i], 0);
     } else if (std::strncmp(argv[i], "--pass-ticks=", 13) == 0) {
-      pass_ticks = std::atoll(argv[i] + 13);
+      pass_ticks = flag_number<long long>(argv[i], 0);
     } else if (std::strncmp(argv[i], "--mutant=", 9) == 0) {
-      mutant = std::atoi(argv[i] + 9);
+      mutant = flag_number<int>(argv[i], 0);
     } else if (std::strncmp(argv[i], "--iut=", 6) == 0) {
       iut_name = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--campaign-out=", 15) == 0) {

@@ -1,8 +1,12 @@
 // Small string helpers shared by the pretty printers and parsers.
 #pragma once
 
+#include <charconv>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace tigat::util {
@@ -17,6 +21,24 @@ std::vector<std::string> split(std::string_view text, char sep);
 std::string_view trim(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);
+
+// Parses all of `text` as a base-10 integer of type T in [lo, hi].
+// nullopt on anything else: empty text, a sign T cannot hold, leading
+// or trailing characters, overflow, or a value outside the range.  The
+// strict counterpart of atoi for command-line flags, where a silent 0
+// on garbage or a negative wrapped into a huge unsigned is a bug.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_int(
+    std::string_view text, T lo = std::numeric_limits<T>::min(),
+    T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 // printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -41,6 +41,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
   ~ThreadPool();
 
+  // The most threads a command-line flag may ask for (--threads,
+  // --clients): far above any core count, far below what exhausts a
+  // process's thread limit.
+  static constexpr unsigned kMaxThreads = 1024;
+
   // Total threads that participate in a parallel_for (callers + pool).
   [[nodiscard]] unsigned worker_count() const noexcept {
     return static_cast<unsigned>(workers_.size()) + 1;

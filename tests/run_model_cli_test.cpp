@@ -186,4 +186,15 @@ TEST(RunModelCli, CorruptStrategyFileIsIoError) {
   std::remove(tgs.c_str());
 }
 
+// Numeric flags parse strictly: garbage, a negative where the flag
+// takes none, or trailing characters are usage errors (exit 1) caught
+// before anything runs — not a silent 0, and not a negative wrapped
+// into a huge thread or retry count.
+TEST(RunModelCli, HostileNumericFlagsAreUsageErrors) {
+  EXPECT_EQ(run_cli(kSafetyModel + " --threads=-1"), 1);
+  EXPECT_EQ(run_cli(kSafetyModel + " --threads=abc"), 1);
+  EXPECT_EQ(run_cli(kSafetyModel + " --runs=1 --retries=-1"), 1);
+  EXPECT_EQ(run_cli(kSafetyModel + " --runs=1x"), 1);
+}
+
 }  // namespace

@@ -383,6 +383,22 @@ TEST(ServeBinary, LegacyTableIsRefusedWithMigrateDiagnostic) {
   std::remove(tgs.c_str());
 }
 
+// Numeric flags parse strictly: a negative or garbage --threads is a
+// usage error (exit 1) raised before the table is even opened — the
+// missing table here would otherwise be the I/O code 2.
+TEST(ServeBinary, HostileNumericFlagsAreUsageErrors) {
+  for (const char* flag : {"--threads=-1", "--threads=abc"}) {
+    SCOPED_TRACE(flag);
+    Daemon daemon = Daemon::spawn({"serve", "--table=/nonexistent/x.tgs",
+                                   "--socket=" + socket_path("flags"), flag});
+    int status = 0;
+    ::waitpid(daemon.pid, &status, 0);
+    daemon.pid = -1;
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+  }
+}
+
 #endif  // TIGAT_SERVE_BIN
 
 }  // namespace

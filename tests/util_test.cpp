@@ -1,6 +1,9 @@
 // Tests for the util module: text helpers, tables, rng, memory meter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "util/memory_meter.h"
@@ -38,6 +41,24 @@ TEST(Text, Format) {
   EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(format("%.2f", 1.234), "1.23");
   EXPECT_EQ(format("empty"), "empty");
+}
+
+TEST(Text, ParseIntIsStrict) {
+  EXPECT_EQ(parse_int<int>("42"), 42);
+  EXPECT_EQ(parse_int<int>("-7"), -7);
+  EXPECT_EQ(parse_int<unsigned>("0", 0u, 8u), 0u);
+  EXPECT_EQ(parse_int<unsigned>("8", 0u, 8u), 8u);
+  EXPECT_EQ(parse_int<unsigned>("9", 0u, 8u), std::nullopt);
+  EXPECT_EQ(parse_int<unsigned>("-1"), std::nullopt);
+  EXPECT_EQ(parse_int<long>("-1", 0L), std::nullopt);
+  EXPECT_EQ(parse_int<int>(""), std::nullopt);
+  EXPECT_EQ(parse_int<int>("abc"), std::nullopt);
+  EXPECT_EQ(parse_int<int>("1x"), std::nullopt);
+  EXPECT_EQ(parse_int<int>(" 1"), std::nullopt);
+  EXPECT_EQ(parse_int<int>("+1"), std::nullopt);
+  EXPECT_EQ(parse_int<int>("99999999999"), std::nullopt);
+  EXPECT_EQ(parse_int<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(TablePrinter, AlignsColumns) {

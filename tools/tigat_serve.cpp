@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <string>
 #include <system_error>
 
@@ -50,6 +51,8 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "util/rng.h"
+#include "util/text.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -60,6 +63,28 @@ constexpr int kExitIo = 2;
 volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
+
+// The value of a numeric `--flag=N`, parsed strictly (util::parse_int)
+// into `out`; prints a diagnostic and returns false when the value is
+// garbage, carries a sign the flag cannot take or lies outside
+// [lo, hi].
+template <typename T>
+bool flag_number(const char* arg, T& out,
+                 T lo = std::numeric_limits<T>::min(),
+                 T hi = std::numeric_limits<T>::max()) {
+  const char* const eq = std::strchr(arg, '=');
+  const auto value = tigat::util::parse_int<T>(eq + 1, lo, hi);
+  if (!value) {
+    std::fprintf(stderr,
+                 "tigat-serve: %.*s expects an integer in [%s, %s], got "
+                 "'%s'\n",
+                 static_cast<int>(eq - arg), arg, std::to_string(lo).c_str(),
+                 std::to_string(hi).c_str(), eq + 1);
+    return false;
+  }
+  out = *value;
+  return true;
+}
 
 int usage() {
   std::fprintf(
@@ -166,13 +191,16 @@ int run_drive(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--socket=", 9) == 0) {
       socket_path = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--clients=", 10) == 0) {
-      clients = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      if (!flag_number(argv[i], clients, 0u,
+                       tigat::util::ThreadPool::kMaxThreads)) {
+        return kExitUsage;
+      }
     } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      requests = static_cast<std::size_t>(std::atoll(argv[i] + 11));
+      if (!flag_number(argv[i], requests)) return kExitUsage;
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      batch = static_cast<std::size_t>(std::atoll(argv[i] + 8));
+      if (!flag_number(argv[i], batch)) return kExitUsage;
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[i] + 7));
+      if (!flag_number(argv[i], seed)) return kExitUsage;
     } else {
       std::fprintf(stderr, "tigat-serve: unknown flag '%s'\n", argv[i]);
       return usage();
@@ -275,7 +303,10 @@ int run_serve(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--socket=", 9) == 0) {
       config.socket_path = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      config.threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      if (!flag_number(argv[i], config.threads, 0u,
+                       tigat::util::ThreadPool::kMaxThreads)) {
+        return kExitUsage;
+      }
     } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
       metrics_out = argv[i] + 14;
     } else if (std::strcmp(argv[i], "--progress") == 0) {
