@@ -6,20 +6,25 @@
 // may answer dim!/bright! before the user's reaction time allows a
 // second touch.  The tester "makes a small retreat": it computes a
 // cooperative plan (all actions treated as controllable) and hopes the
-// light plays along.
+// light plays along.  The ordinary test executor runs the plan: given
+// the un-relaxed SPEC, it waits for the moves the plan hopes the light
+// makes instead of making them itself.
 //
 //   * a patient light (output latency ≥ 1) cooperates → PASS
 //   * an eager light (latency 0) answers first     → INCONCLUSIVE
+//     (the plan retries after every legal detour until its step
+//     budget, kept short here, runs out)
 //   * a broken light still gets caught             → FAIL (sound)
 //
 // Build & run:  ./build/examples/cooperative_testing
 #include <cstdio>
 
+#include "decision/source.h"
 #include "game/cooperative.h"
 #include "game/solver.h"
 #include "game/strategy.h"
 #include "models/smart_light.h"
-#include "testing/cooperative_executor.h"
+#include "testing/executor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
 
@@ -44,12 +49,16 @@ int main() {
               coop.reachable ? "yes" : "no");
   if (!coop.reachable) return 1;
   game::Strategy plan(coop.solution);
+  const decision::StrategySource plan_source(plan);
 
+  testing::ExecutorOptions options;
+  options.max_steps = 24;
   const auto run_against = [&](const char* label, const tsystem::System& sys,
                                std::int64_t latency) {
     testing::SimulatedImplementation imp(sys, kScale,
                                          testing::ImpPolicy{latency, {}});
-    testing::CooperativeExecutor exec(spec.system, plan, imp, kScale);
+    testing::TestExecutor exec(plan_source, spec.system, imp, kScale,
+                               options);
     const auto report = exec.run();
     std::printf("%-16s verdict: %-13s %s\n", label,
                 testing::to_string(report.verdict), report.detail.c_str());
@@ -65,11 +74,12 @@ int main() {
       spec.system,
       tsystem::TestPurpose::parse(spec.system, "control: A<> IUT.Bright"));
   game::Strategy plan2(coop2.solution);
+  const decision::StrategySource plan2_source(plan2);
   for (const auto& m : testing::enumerate_mutants(plant.system)) {
     const tsystem::System mutated = testing::apply_mutant(plant.system, m);
     testing::SimulatedImplementation imp(mutated, kScale,
                                          testing::ImpPolicy{3 * kScale, {}});
-    testing::CooperativeExecutor exec(spec.system, plan2, imp, kScale);
+    testing::TestExecutor exec(plan2_source, spec.system, imp, kScale);
     const auto report = exec.run();
     if (report.verdict == testing::Verdict::kFail) {
       std::printf("faulty light     verdict: fail          %s\n",

@@ -5,14 +5,17 @@
 // When `control: A<> φ` has no winning strategy, the tester can still
 // try: solve the game PRETENDING every action is controllable (a plain
 // reachability plan).  The resulting cooperative strategy prescribes
-// both tester inputs and hoped-for SUT outputs.  Executing it (see
-// testing::CooperativeExecutor):
+// both tester inputs and hoped-for SUT outputs.  testing::TestExecutor
+// executes it like any strategy when given the plan as a DecisionSource
+// and the un-relaxed SPEC: it tells hoped-for moves from its own by the
+// edge's owner in that SPEC (see testing/executor.h):
 //
 //   * reaching φ            → PASS      (purpose exercised)
 //   * a tioco violation     → FAIL      (still sound: the monitor only
 //                                        rejects SPEC-forbidden output)
 //   * the SUT deviating from the hoped path, or silence where output
-//     was hoped for         → INCONCLUSIVE (the SUT was within its
+//     was hoped for but not promised
+//                           → INCONCLUSIVE (the SUT was within its
 //                                        rights; the test just didn't
 //                                        reach its purpose)
 //
@@ -21,7 +24,8 @@
 // φ in when the SUT cooperates.  Execution flips accordingly — PASS by
 // outlasting the budget with φ intact, FAIL when a SPEC-legal move
 // (even a hoped-for one the SUT drifted from) lands in ¬φ — see the
-// safety section of testing/executor.h.
+// safety section of testing/executor.h.  The executor cannot tell the
+// formula from the plan, so the caller sets ExecutorOptions::purpose.
 #pragma once
 
 #include <memory>

@@ -1,14 +1,14 @@
 #include "testing/campaign.h"
 
+#include <algorithm>
 #include <chrono>
-#include <functional>
+#include <optional>
 #include <thread>
 
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "testing/cooperative_executor.h"
 #include "testing/faults.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -35,6 +35,16 @@ std::uint64_t campaign_attempt_seed(std::uint64_t fault_seed, std::size_t run,
                 (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(run + 1)) ^
                 (0xbf58476d1ce4e5b9ULL * static_cast<std::uint64_t>(attempt)));
   return rng.next();
+}
+
+std::int64_t campaign_backoff_ms(std::int64_t base_ms, std::size_t attempt) {
+  constexpr std::int64_t kCapMs = 1000;
+  if (base_ms <= 0 || attempt == 0) return 0;
+  // Doubling from a capped start reaches the cap within ten steps, so
+  // neither the loop nor the value can run away with the attempt.
+  std::int64_t ms = std::min(base_ms, kCapMs);
+  for (std::size_t k = 1; k < attempt && ms < kCapMs; ++k) ms *= 2;
+  return std::min(ms, kCapMs);
 }
 
 namespace {
@@ -86,10 +96,9 @@ struct LedgerContext {
   std::int64_t scale = 0;
 };
 
-// The engine shared by the plain and cooperative entry points:
-// `attempt` runs one executor attempt and returns its report.
-CampaignReport run_campaign(const std::function<TestReport()>& attempt,
-                            FaultInjector* injector, util::Deadline& deadline,
+// The campaign engine: runs, retries and classifies attempts of `exec`.
+CampaignReport run_campaign(TestExecutor& exec, FaultInjector* injector,
+                            util::Deadline& deadline,
                             const CampaignOptions& opts,
                             const FaultSpec& spec,
                             const LedgerContext& ledgers) {
@@ -105,9 +114,8 @@ CampaignReport run_campaign(const std::function<TestReport()>& attempt,
     RunOutcome outcome;
     outcome.run = run;
     for (std::size_t att = 0;; ++att) {
-      if (att > 0 && opts.backoff_base_ms > 0) {
-        const std::int64_t sleep_ms =
-            std::min<std::int64_t>(opts.backoff_base_ms << (att - 1), 1000);
+      if (const std::int64_t sleep_ms =
+              campaign_backoff_ms(opts.backoff_base_ms, att)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
       }
       const std::uint64_t seed =
@@ -131,7 +139,7 @@ CampaignReport run_campaign(const std::function<TestReport()>& attempt,
       }
 
       util::Stopwatch watch;
-      outcome.report = attempt();
+      outcome.report = exec.run();
       outcome.seed = seed;
       outcome.attempts = att + 1;
       outcome.attempt_codes.push_back(outcome.report.code);
@@ -309,59 +317,20 @@ CampaignReport campaign_run(const decision::DecisionSource& source,
     exec_opts.recorder = &recorder;
   }
 
+  std::optional<FaultInjector> injector;
   if (fault_spec.any()) {
-    FaultInjector injector(imp, fault_spec, opts.fault_seed,
-                           uncontrollable_channels(spec), &deadline);
+    injector.emplace(imp, fault_spec, opts.fault_seed,
+                     uncontrollable_channels(spec), &deadline);
     if (opts.record_ledgers) {
-      injector.set_fault_sink([&recorder](const char* kind,
-                                          std::uint64_t call) {
+      injector->set_fault_sink([&recorder](const char* kind,
+                                           std::uint64_t call) {
         recorder.fault(kind, call);
       });
     }
-    TestExecutor exec(source, spec, injector, scale, exec_opts);
-    return run_campaign([&] { return exec.run(); }, &injector, deadline, opts,
-                        fault_spec, ledgers);
   }
-  TestExecutor exec(source, spec, imp, scale, exec_opts);
-  return run_campaign([&] { return exec.run(); }, nullptr, deadline, opts,
-                      fault_spec, ledgers);
-}
-
-CampaignReport campaign_run_cooperative(const tsystem::System& original,
-                                        const decision::DecisionSource& source,
-                                        Implementation& imp,
-                                        std::int64_t scale,
-                                        const CampaignOptions& opts) {
-  const FaultSpec fault_spec = FaultSpec::parse(opts.fault_spec);
-  util::Deadline deadline;
-  ExecutorOptions exec_opts = opts.executor;
-  exec_opts.deadline = &deadline;
-
-  obs::RunRecorder recorder;
-  LedgerContext ledgers;
-  if (opts.record_ledgers) {
-    ledgers.recorder = &recorder;
-    ledgers.model = original.name();
-    ledgers.backend = source.backend_name();
-    ledgers.scale = scale;
-    exec_opts.recorder = &recorder;
-  }
-
-  if (fault_spec.any()) {
-    FaultInjector injector(imp, fault_spec, opts.fault_seed,
-                           uncontrollable_channels(original), &deadline);
-    if (opts.record_ledgers) {
-      injector.set_fault_sink([&recorder](const char* kind,
-                                          std::uint64_t call) {
-        recorder.fault(kind, call);
-      });
-    }
-    CooperativeExecutor exec(original, source, injector, scale, exec_opts);
-    return run_campaign([&] { return exec.run(); }, &injector, deadline, opts,
-                        fault_spec, ledgers);
-  }
-  CooperativeExecutor exec(original, source, imp, scale, exec_opts);
-  return run_campaign([&] { return exec.run(); }, nullptr, deadline, opts,
+  TestExecutor exec(source, spec, injector ? *injector : imp, scale,
+                    exec_opts);
+  return run_campaign(exec, injector ? &*injector : nullptr, deadline, opts,
                       fault_spec, ledgers);
 }
 

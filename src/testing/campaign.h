@@ -13,8 +13,8 @@
 //
 //   PASS          every run's final attempt passed
 //   FAIL          some run produced a sound FAIL (Theorem 10 evidence;
-//                 never caused by injected faults — executors downgrade
-//                 those, see executor.h)
+//                 never caused by injected faults — the executor
+//                 downgrades those, see executor.h)
 //   UNRESPONSIVE  no run ever passed or failed, and every final
 //                 outcome was harness-silence (crash / hang / deadline)
 //   FLAKY         anything in between
@@ -57,7 +57,7 @@ struct CampaignOptions {
   // fault injector so injected hangs end with the budget.
   std::int64_t run_deadline_ms = 0;
   // Backoff before retry k (1-based) is backoff_base_ms << (k-1),
-  // capped at 1 s; 0 disables sleeping (tests).
+  // capped at 1 s (campaign_backoff_ms); 0 disables sleeping (tests).
   std::int64_t backoff_base_ms = 0;
   // Fault injection: compact spec string (see testing/faults.h) and
   // base seed.  Empty spec = clean boundary, no decorator.
@@ -132,21 +132,23 @@ struct CampaignReport {
                                                   std::size_t run,
                                                   std::size_t attempt);
 
+// The sleep before retry `attempt` (1-based; 0 is the first attempt,
+// which never sleeps): base_ms << (attempt - 1), capped at 1 s, and 0
+// when base_ms <= 0.  Computed without overflow for any attempt.
+[[nodiscard]] std::int64_t campaign_backoff_ms(std::int64_t base_ms,
+                                               std::size_t attempt);
+
 // Runs a campaign of Algorithm 3.1 executions (TestExecutor) of
-// `source` against `imp`.  When opts.fault_spec is non-empty, `imp` is
-// wrapped in a FaultInjector whose spurious-output alphabet is the
-// SPEC's uncontrollable channels.  Throws FaultSpecError on a
-// malformed spec; never lets an IMP exception escape.
+// `source` against `imp`.  A cooperative plan runs like any other
+// source: pass its un-relaxed SPEC as `spec` (see testing/executor.h).
+// When opts.fault_spec is non-empty, `imp` is wrapped in a
+// FaultInjector whose spurious-output alphabet is the SPEC's
+// uncontrollable channels.  Throws FaultSpecError on a malformed spec;
+// never lets an IMP exception escape.
 [[nodiscard]] CampaignReport campaign_run(const decision::DecisionSource& source,
                                           const tsystem::System& spec,
                                           Implementation& imp,
                                           std::int64_t scale,
                                           const CampaignOptions& opts);
-
-// Same, with the cooperative executor (the strategy/backend must come
-// from the all-controllable relaxation of `original`).
-[[nodiscard]] CampaignReport campaign_run_cooperative(
-    const tsystem::System& original, const decision::DecisionSource& source,
-    Implementation& imp, std::int64_t scale, const CampaignOptions& opts);
 
 }  // namespace tigat::testing

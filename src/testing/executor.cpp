@@ -1,6 +1,8 @@
 #include "testing/executor.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -65,6 +67,9 @@ std::string TestReport::trace_string() const {
   return out;
 }
 
+namespace {
+
+// Per-run verdict/trace metrics (obs layer).
 void record_run_metrics(const TestReport& report) {
   if (!obs::metrics_enabled()) return;
   auto& m = obs::metrics();
@@ -92,19 +97,36 @@ void record_run_metrics(const TestReport& report) {
   }
 }
 
+// The "executor.step_ns" histogram, or nullptr when metrics are off —
+// fetched once per run so the per-step cost is a null check, not a
+// registry lookup.  Splits serving-path time between decide() (the
+// existing "decide.latency_ns") and everything around it.
 obs::Histogram* step_latency_histogram() {
   if (!obs::metrics_enabled()) return nullptr;
   return &obs::metrics().histogram("executor.step_ns",
                                    obs::latency_buckets_ns());
 }
 
-StepTimer::StepTimer(obs::Histogram* hist)
-    : hist_(hist), t0_(hist != nullptr ? obs::now_ns() : 0) {}
+// RAII step timer: records into `hist` on scope exit (covering early
+// returns), measures nothing when hist == nullptr.
+class StepTimer {
+ public:
+  explicit StepTimer(obs::Histogram* hist)
+      : hist_(hist), t0_(hist != nullptr ? obs::now_ns() : 0) {}
+  ~StepTimer() {
+    if (hist_ != nullptr) hist_->record(obs::now_ns() - t0_);
+  }
+  StepTimer(const StepTimer&) = delete;
+  StepTimer& operator=(const StepTimer&) = delete;
 
-StepTimer::~StepTimer() {
-  if (hist_ != nullptr) hist_->record(obs::now_ns() - t0_);
-}
+ private:
+  obs::Histogram* hist_;
+  std::uint64_t t0_ = 0;
+};
 
+// Journals one decide() answer into the run ledger: the move kind and
+// rank, the rendered SPEC state (the decision key), the prescribed
+// channel for actions and the strategy's wait bound for delays.
 void record_decision(obs::RunRecorder& rec, std::uint64_t step,
                      std::int64_t t, const SpecMonitor& monitor,
                      const game::Move& move,
@@ -140,6 +162,33 @@ void record_decision(obs::RunRecorder& rec, std::uint64_t step,
                std::move(channel), bound);
 }
 
+// An exception that escaped the IMP boundary, classified.
+struct BoundaryError {
+  ReasonCode code;
+  std::string detail;
+};
+
+// Makes one IMP boundary call (`what` names it in crash details) and
+// classifies whatever escapes it instead of propagating: a hang the
+// deadline cancelled, a harness fault, or any other exception as an
+// IMP crash.
+template <typename Call>
+std::optional<BoundaryError> across_boundary(const char* what, Call&& call) {
+  try {
+    call();
+  } catch (const HarnessHangError& e) {
+    return BoundaryError{ReasonCode::kHarnessHang, e.what()};
+  } catch (const HarnessFaultError& e) {
+    return BoundaryError{ReasonCode::kHarnessFault, e.what()};
+  } catch (const std::exception& e) {
+    return BoundaryError{ReasonCode::kImpCrash, std::string("IMP crashed in ") +
+                                                    what + ": " + e.what()};
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 TestExecutor::TestExecutor(const game::Strategy& strategy, Implementation& imp,
                            std::int64_t scale, ExecutorOptions options)
     : owned_source_(strategy),
@@ -172,26 +221,33 @@ TestReport TestExecutor::run_impl() {
   TestReport report;
   monitor_.reset();
   imp_->reset();
+  const tsystem::System& spec = monitor_.semantics().system();
   obs::RunRecorder* const rec = options_.recorder;
   obs::Histogram* const step_hist = step_latency_histogram();
+  // Set once an SUT output has been absorbed: from then on an
+  // unwinnable state means the SUT legally left the plan (file comment).
+  bool absorbed_output = false;
 
-  // Journals the final report into the ledger with the monitor still
-  // live — the expected-output set is Out(s After σ) at the instant
-  // the verdict was earned.  `observed` is the offending channel on an
-  // unexpected-output FAIL, empty for silence-class verdicts.
-  const auto record_verdict = [&](const std::string& observed = {}) {
-    if (rec != nullptr) {
-      rec->verdict(report.steps, report.total_ticks,
-                   to_string(report.verdict), to_string(report.code),
-                   report.detail, monitor_.expected_outputs(), observed);
-    }
-  };
-  const auto inconclusive = [&](ReasonCode code, std::string detail) {
-    report.verdict = Verdict::kInconclusive;
+  // Ends the run and journals the verdict into the ledger with the
+  // monitor still live — the expected-output set is Out(s After σ) at
+  // the instant the verdict was earned.  `observed` is the offending
+  // channel on an unexpected-output FAIL, empty for silence-class
+  // verdicts.
+  const auto finish = [&](Verdict verdict, ReasonCode code,
+                          std::string detail,
+                          const std::string& observed = {}) {
+    report.verdict = verdict;
     report.code = code;
     report.detail = std::move(detail);
-    record_verdict();
+    if (rec != nullptr) {
+      rec->verdict(report.steps, report.total_ticks, to_string(verdict),
+                   to_string(code), report.detail,
+                   monitor_.expected_outputs(), observed);
+    }
     return report;
+  };
+  const auto inconclusive = [&](ReasonCode code, std::string detail) {
+    return finish(Verdict::kInconclusive, code, std::move(detail));
   };
   // FAIL is only sound over a clean observation channel: if the
   // boundary reported corruption at any point of this run, what we
@@ -206,11 +262,7 @@ TestReport TestExecutor::run_impl() {
           "would-be FAIL (" + std::string(to_string(code)) +
               ") suppressed: " + imp_->harness_fault_summary());
     }
-    report.verdict = Verdict::kFail;
-    report.code = code;
-    report.detail = std::move(detail);
-    record_verdict(observed);
-    return report;
+    return finish(Verdict::kFail, code, std::move(detail), observed);
   };
 
   // Safety mode (see the file comment).  φ is over locations and data
@@ -223,15 +275,49 @@ TestReport TestExecutor::run_impl() {
       options_.purpose->kind == tsystem::PurposeKind::kSafety;
   const auto phi_holds = [&] {
     return options_.purpose->formula.eval(
-        monitor_.state().locs, monitor_.state().data,
-        monitor_.semantics().system().data());
+        monitor_.state().locs, monitor_.state().data, spec.data());
   };
   const auto safety_pass = [&](std::string detail) {
-    report.verdict = Verdict::kPass;
-    report.code = ReasonCode::kSafetyMaintained;
-    report.detail = std::move(detail);
-    record_verdict();
-    return report;
+    return finish(Verdict::kPass, ReasonCode::kSafetyMaintained,
+                  std::move(detail));
+  };
+
+  // An output observed inside a wait window: the quiet ticks before it,
+  // then the output itself, judged against the SPEC (and φ in safety
+  // mode).  Returns the verdict when the observation ends the run.
+  const auto absorb = [&](const ObservedOutput& obs)
+      -> std::optional<TestReport> {
+    if (obs.after_ticks > 0) {
+      const bool ok = monitor_.apply_delay(obs.after_ticks);
+      TIGAT_ASSERT(ok, "delay within the window exceeded a deadline");
+      report.total_ticks += obs.after_ticks;
+      report.trace.push_back({TraceEvent::Kind::kDelay, "", obs.after_ticks});
+      if (rec != nullptr) {
+        rec->delay(report.steps, report.total_ticks, obs.after_ticks);
+      }
+    }
+    if (!monitor_.apply_output(obs.channel)) {
+      return fail(ReasonCode::kUnexpectedOutput,
+                  util::format("unexpected output '%s' after %lld ticks: not "
+                               "in Out(s After sigma)",
+                               obs.channel.c_str(),
+                               static_cast<long long>(obs.after_ticks)),
+                  obs.channel);
+    }
+    absorbed_output = true;
+    report.trace.push_back({TraceEvent::Kind::kOutput, obs.channel, 0});
+    if (rec != nullptr) {
+      rec->output(report.steps, report.total_ticks, obs.channel);
+    }
+    if (safety && !phi_holds()) {
+      return fail(ReasonCode::kSafetyViolation,
+                  util::format("safety violation: phi broken by output '%s' "
+                               "after %lld ticks",
+                               obs.channel.c_str(),
+                               static_cast<long long>(obs.after_ticks)),
+                  obs.channel);
+    }
+    return std::nullopt;
   };
 
   for (report.steps = 0; report.steps < options_.max_steps; ++report.steps) {
@@ -254,22 +340,46 @@ TestReport TestExecutor::run_impl() {
     }
     switch (move.kind) {
       case game::MoveKind::kGoalReached:
-        report.verdict = Verdict::kPass;
-        report.code = ReasonCode::kPurposeReached;
-        report.detail = "test purpose reached";
-        record_verdict();
-        return report;
+        return finish(Verdict::kPass, ReasonCode::kPurposeReached,
+                      "test purpose reached");
 
       case game::MoveKind::kUnwinnable:
-        // A winning strategy never leaves its winning region on
-        // conforming behaviour; landing here means the purpose was not
-        // controllable from the start (caller error).
+        if (absorbed_output) {
+          return inconclusive(ReasonCode::kSutDeclined,
+                              "the SUT drifted off the plan");
+        }
         return inconclusive(ReasonCode::kOutsideWinningRegion,
                             "state outside the winning region");
 
       case game::MoveKind::kAction: {
         const auto& inst = source_->edge_instance(*move.edge);
-        const auto chan = inst.channel_name(monitor_.semantics().system());
+        const auto chan = inst.channel_name(spec);
+        const auto& owner = spec.processes()[inst.primary.process];
+        if (!spec.edge_controllable(owner,
+                                    owner.edges()[inst.primary.edge])) {
+          // A hoped-for SUT move (cooperative plan): wait for it up to
+          // the SPEC deadline.
+          TIGAT_ASSERT(chan.has_value(), "hoped-for silent SUT move");
+          const std::int64_t deadline = monitor_.allowed_delay();
+          const std::int64_t wait = std::min(deadline, options_.idle_wait_cap);
+          std::optional<ObservedOutput> obs;
+          if (auto err = across_boundary(
+                  "advance", [&] { obs = imp_->advance(wait); })) {
+            return inconclusive(err->code, std::move(err->detail));
+          }
+          if (!obs) {
+            if (deadline < options_.idle_wait_cap) {
+              return fail(ReasonCode::kQuiescenceViolation,
+                          "quiescence violation while hoping for '" + *chan +
+                              "'");
+            }
+            return inconclusive(ReasonCode::kSutDeclined,
+                                "the SUT declined to produce '" + *chan +
+                                    "' (within its rights)");
+          }
+          if (auto verdict = absorb(*obs)) return *std::move(verdict);
+          break;
+        }
         if (!chan) {
           // Environment-internal controllable move (tester bookkeeping,
           // e.g. the LEP environment creating a buffered message):
@@ -282,18 +392,11 @@ TestReport TestExecutor::run_impl() {
           }
           break;
         }
-        try {
-          imp_->offer_input(*chan);  // mutants may ignore it; that alone
-                                     // is not observable — the missing
-                                     // consequences will be.
-        } catch (const HarnessHangError& e) {
-          return inconclusive(ReasonCode::kHarnessHang, e.what());
-        } catch (const HarnessFaultError& e) {
-          return inconclusive(ReasonCode::kHarnessFault, e.what());
-        } catch (const std::exception& e) {
-          return inconclusive(ReasonCode::kImpCrash,
-                              std::string("IMP crashed in offer_input: ") +
-                                  e.what());
+        // Mutants may ignore the input; that alone is not observable —
+        // the missing consequences will be.
+        if (auto err = across_boundary("offer_input",
+                                       [&] { imp_->offer_input(*chan); })) {
+          return inconclusive(err->code, std::move(err->detail));
         }
         const bool ok = monitor_.apply_input(*chan);
         TIGAT_ASSERT(ok, "SPEC rejected a strategy-prescribed input");
@@ -327,98 +430,56 @@ TestReport TestExecutor::run_impl() {
         TIGAT_ASSERT(wait >= 0, "negative waiting time");
 
         std::optional<ObservedOutput> obs;
-        try {
-          obs = imp_->advance(wait);
-        } catch (const HarnessHangError& e) {
-          return inconclusive(ReasonCode::kHarnessHang, e.what());
-        } catch (const HarnessFaultError& e) {
-          return inconclusive(ReasonCode::kHarnessFault, e.what());
-        } catch (const std::exception& e) {
-          return inconclusive(ReasonCode::kImpCrash,
-                              std::string("IMP crashed in advance: ") +
-                                  e.what());
+        if (auto err = across_boundary(
+                "advance", [&] { obs = imp_->advance(wait); })) {
+          return inconclusive(err->code, std::move(err->detail));
         }
-        if (!obs) {
-          if (wait == 0) {
-            if (safety) {
-              // The strategy pinned its next decision to this very
-              // instant.  Three cases, in soundness order: the SPEC may
-              // still let time pass (no safe prescription exists — a
-              // winning strategy never lands here on conforming
-              // behaviour, so no verdict); time is frozen with nothing
-              // promised (a maximal run that kept φ — the tester wins);
-              // or a promised output never came (the one silence that
-              // is still sound FAIL evidence).
-              if (monitor_.allowed_delay() > 0) {
-                return inconclusive(
-                    ReasonCode::kOutsideWinningRegion,
-                    "no safe prescription at the decision instant");
-              }
-              if (monitor_.expected_outputs().empty()) {
-                return safety_pass(
-                    "safety invariant maintained (safe deadlock)");
-              }
-            }
-            return fail(ReasonCode::kQuiescenceViolation,
-                        "quiescence violation: output deadline expired with "
-                        "no output");
-          }
-          if (!wait_bounded && !safety) {
-            // Defensive path: the strategy offered no decision point and
-            // the SPEC no invariant deadline, so nothing bounds this
-            // wait.  Silently sleeping idle_wait_cap and looping would
-            // just burn the step budget — surface the cause instead.
-            // (In safety mode an unbounded quiet wait is winning play:
-            // absorb the cap and keep counting toward the pass budget.)
-            return inconclusive(
-                ReasonCode::kUnboundedWait,
-                util::format("no deadline from strategy or SPEC; quiescent "
-                             "for the whole %lld-tick cap",
-                             static_cast<long long>(wait)));
-          }
-          // Quiescent for the whole window (allowed: wait ≤ deadline).
-          const bool ok = monitor_.apply_delay(wait);
-          TIGAT_ASSERT(ok, "delay within the deadline rejected");
-          report.total_ticks += wait;
-          report.trace.push_back({TraceEvent::Kind::kDelay, "", wait});
-          if (rec != nullptr) {
-            rec->delay(report.steps, report.total_ticks, wait);
-          }
+        if (obs) {
+          if (auto verdict = absorb(*obs)) return *std::move(verdict);
           break;
         }
-
-        // Output observed inside the window.
-        if (obs->after_ticks > 0) {
-          const bool ok = monitor_.apply_delay(obs->after_ticks);
-          TIGAT_ASSERT(ok, "delay within the window exceeded a deadline");
-          report.total_ticks += obs->after_ticks;
-          report.trace.push_back(
-              {TraceEvent::Kind::kDelay, "", obs->after_ticks});
-          if (rec != nullptr) {
-            rec->delay(report.steps, report.total_ticks, obs->after_ticks);
+        if (wait == 0) {
+          if (safety) {
+            // The strategy pinned its next decision to this very
+            // instant.  Three cases, in soundness order: the SPEC may
+            // still let time pass (no safe prescription exists — a
+            // winning strategy never lands here on conforming
+            // behaviour, so no verdict); time is frozen with nothing
+            // promised (a maximal run that kept φ — the tester wins);
+            // or a promised output never came (the one silence that
+            // is still sound FAIL evidence).
+            if (monitor_.allowed_delay() > 0) {
+              return inconclusive(
+                  ReasonCode::kOutsideWinningRegion,
+                  "no safe prescription at the decision instant");
+            }
+            if (monitor_.expected_outputs().empty()) {
+              return safety_pass("safety invariant maintained (safe deadlock)");
+            }
           }
+          return fail(ReasonCode::kQuiescenceViolation,
+                      "quiescence violation: output deadline expired with "
+                      "no output");
         }
-        if (!monitor_.apply_output(obs->channel)) {
-          return fail(ReasonCode::kUnexpectedOutput,
-                      util::format(
-                          "unexpected output '%s' after %lld ticks: not in "
-                          "Out(s After sigma)",
-                          obs->channel.c_str(),
-                          static_cast<long long>(obs->after_ticks)),
-                      obs->channel);
+        if (!wait_bounded && !safety) {
+          // Defensive path: the strategy offered no decision point and
+          // the SPEC no invariant deadline, so nothing bounds this
+          // wait.  Silently sleeping idle_wait_cap and looping would
+          // just burn the step budget — surface the cause instead.
+          // (In safety mode an unbounded quiet wait is winning play:
+          // absorb the cap and keep counting toward the pass budget.)
+          return inconclusive(
+              ReasonCode::kUnboundedWait,
+              util::format("no deadline from strategy or SPEC; quiescent "
+                           "for the whole %lld-tick cap",
+                           static_cast<long long>(wait)));
         }
-        report.trace.push_back({TraceEvent::Kind::kOutput, obs->channel, 0});
-        if (rec != nullptr) {
-          rec->output(report.steps, report.total_ticks, obs->channel);
-        }
-        if (safety && !phi_holds()) {
-          return fail(ReasonCode::kSafetyViolation,
-                      util::format("safety violation: phi broken by output "
-                                   "'%s' after %lld ticks",
-                                   obs->channel.c_str(),
-                                   static_cast<long long>(obs->after_ticks)),
-                      obs->channel);
-        }
+        // Quiescent for the whole window (allowed: wait ≤ deadline).
+        const bool ok = monitor_.apply_delay(wait);
+        TIGAT_ASSERT(ok, "delay within the deadline rejected");
+        report.total_ticks += wait;
+        report.trace.push_back({TraceEvent::Kind::kDelay, "", wait});
+        if (rec != nullptr) rec->delay(report.steps, report.total_ticks, wait);
         break;
       }
     }

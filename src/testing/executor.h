@@ -41,6 +41,25 @@
 // promised — is a PASS, not a violation.  Silence that swallows a
 // promised output is still FAIL kQuiescenceViolation, and the
 // harness-fault downgrade applies to safety FAILs unchanged.
+//
+// Cooperative plans (paper future-work item 4, game/cooperative.h) run
+// through the same loop.  Solved on the all-controllable relaxation of
+// the SPEC, such a plan may prescribe moves that belong to the SUT; the
+// loop tells them apart by the owner of the prescribed edge in the SPEC
+// it monitors.  A controllable owner means the tester makes the move as
+// above.  An SUT owner means the move is hoped for: the tester waits up
+// to min(SPEC deadline, idle_wait_cap), judges any output as usual, and
+// ends FAIL kQuiescenceViolation if the SPEC deadline passes in silence,
+// INCONCLUSIVE kSutDeclined otherwise.  Build such a run with the
+// DecisionSource constructor and the un-relaxed SPEC; a cooperative
+// safety plan sets ExecutorOptions::purpose itself.
+//
+// decide() answering kUnwinnable ends the run INCONCLUSIVE: with
+// kOutsideWinningRegion before the run has absorbed an SUT output (the
+// purpose was never controllable, or a cooperative plan never
+// feasible), with kSutDeclined after one (the SUT legally steered off
+// the plan).  A winning region is closed under SPEC-legal outputs, so
+// winning strategies only ever see the first.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +69,6 @@
 
 #include "decision/source.h"
 #include "game/strategy.h"
-#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "testing/implementation.h"
 #include "testing/monitor.h"
@@ -83,7 +101,7 @@ enum class ReasonCode : std::uint8_t {
   kStepBudgetExhausted,   // ExecutorOptions::max_steps hit
   kUnboundedWait,         // neither strategy nor SPEC bounded the wait
                           // (idle_wait_cap defensive path)
-  kSutDeclined,           // cooperative: IUT legally left the plan
+  kSutDeclined,           // the SUT legally left the plan
   // INCONCLUSIVE — the harness, not the IUT (unresponsive class except
   // kHarnessFault, which is corruption rather than silence)
   kHarnessFault,         // observation channel corrupted mid-run
@@ -142,10 +160,10 @@ struct ExecutorOptions {
   obs::RunRecorder* recorder = nullptr;
   // The purpose the strategy was solved for.  Safety purposes switch
   // the executor into safety mode (see the file comment); unset means
-  // reachability.  The Strategy-based constructors fill it in from
-  // GameSolution::purpose automatically — table-based callers serving
-  // a safety .tgs must set it themselves (the table knows its kind but
-  // not the formula the monitor must check).
+  // reachability.  The Strategy-based constructor fills it in from
+  // GameSolution::purpose automatically — DecisionSource callers (a
+  // safety .tgs, a cooperative safety plan) must set it themselves (a
+  // table knows its kind but not the formula the monitor must check).
   std::optional<tsystem::TestPurpose> purpose;
   // Safety mode: PASS with kSafetyMaintained once this much model time
   // has elapsed with φ intact.  0 falls back to the step budget as the
@@ -155,14 +173,17 @@ struct ExecutorOptions {
 
 class TestExecutor {
  public:
-  // All three parties must use the same tick scale.
+  // All three parties must use the same tick scale.  The monitor
+  // tracks the system the strategy was solved on, so a cooperative
+  // plan (solved on a relaxed copy) needs the constructor below.
   TestExecutor(const game::Strategy& strategy, Implementation& imp,
                std::int64_t scale, ExecutorOptions options = {});
 
   // Any decision backend — e.g. a compiled decision::DecisionTable
   // loaded from a .tgs file.  `spec` is the SPEC the monitor tracks;
   // it must be the system the backend was built for (for tables, check
-  // DecisionTable::matches first).
+  // DecisionTable::matches first), or for a cooperative plan the
+  // un-relaxed SPEC it was relaxed from.
   TestExecutor(const decision::DecisionSource& source,
                const tsystem::System& spec, Implementation& imp,
                std::int64_t scale, ExecutorOptions options = {});
@@ -188,37 +209,5 @@ class TestExecutor {
   std::int64_t scale_;
   ExecutorOptions options_;
 };
-
-// Shared by both executors: per-run verdict/trace metrics (obs layer).
-void record_run_metrics(const TestReport& report);
-
-// The "executor.step_ns" histogram, or nullptr when metrics are off —
-// fetched once per run so the per-step cost is a null check, not a
-// registry lookup.  Splits serving-path time between decide() (the
-// existing "decide.latency_ns") and everything around it.
-[[nodiscard]] obs::Histogram* step_latency_histogram();
-
-// RAII step timer for the executor loops: records into `hist` on scope
-// exit (covering early returns), measures nothing when hist == nullptr.
-class StepTimer {
- public:
-  explicit StepTimer(obs::Histogram* hist);
-  ~StepTimer();
-  StepTimer(const StepTimer&) = delete;
-  StepTimer& operator=(const StepTimer&) = delete;
-
- private:
-  obs::Histogram* hist_;
-  std::uint64_t t0_ = 0;
-};
-
-// Journals one decide() answer into the run ledger: the move kind and
-// rank, the rendered SPEC state (the decision key), the prescribed
-// channel for actions and the strategy's wait bound for delays.
-// Shared by both executors so their ledgers render identically.
-void record_decision(obs::RunRecorder& rec, std::uint64_t step,
-                     std::int64_t t, const SpecMonitor& monitor,
-                     const game::Move& move,
-                     const decision::DecisionSource& source);
 
 }  // namespace tigat::testing

@@ -11,6 +11,8 @@
 //     reports.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -58,6 +60,23 @@ TEST(FaultSpec, ParsesFullGrammarAndRoundTrips) {
   // clause order it was first written in.
   const FaultSpec again = FaultSpec::parse(s.to_string());
   EXPECT_EQ(again.to_string(), s.to_string());
+}
+
+// Retry backoff doubles from the base and caps at 1 s for any attempt
+// number — including the ones whose shift would pass the width of the
+// integer, where a plain `base << (attempt - 1)` is undefined.
+TEST(CampaignBackoff, DoublesThenCapsWithoutOverflow) {
+  EXPECT_EQ(campaign_backoff_ms(25, 0), 0);
+  EXPECT_EQ(campaign_backoff_ms(25, 1), 25);
+  EXPECT_EQ(campaign_backoff_ms(25, 6), 800);
+  EXPECT_EQ(campaign_backoff_ms(25, 7), 1000);
+  EXPECT_EQ(campaign_backoff_ms(25, 64), 1000);
+  EXPECT_EQ(campaign_backoff_ms(25, 65), 1000);
+  EXPECT_EQ(campaign_backoff_ms(25, 10'000), 1000);
+  EXPECT_EQ(campaign_backoff_ms(0, 5), 0);
+  EXPECT_EQ(campaign_backoff_ms(-3, 5), 0);
+  EXPECT_EQ(campaign_backoff_ms(std::numeric_limits<std::int64_t>::max(), 1),
+            1000);
 }
 
 TEST(FaultSpec, EmptyStringIsEmptySpec) {

@@ -5,12 +5,13 @@
 // detail, trace, step count, model ticks and harness-fault count, plus
 // an FNV-1a digest of the run's flight-recorder ledger where one was
 // recorded.  The pins were recorded while cooperative plans still ran
-// through an executor loop of their own, so a change to the one loop
-// that alters what any run observes, decides or reports shows up here.
+// through an executor loop of their own, and hold unchanged for the
+// one loop that replaced both, so a change to that loop that alters
+// what any run observes, decides or reports shows up here.
 //
 // Cooperative runs pin everything except the free-text detail (their
-// wording followed the single loop when the second loop was removed);
-// every other run pins the detail too.
+// wording moved to the single loop's when the second loop was
+// removed); every other run pins the detail too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +28,6 @@
 #include "obs/recorder.h"
 #include "support/solution_digest.h"
 #include "testing/campaign.h"
-#include "testing/cooperative_executor.h"
 #include "testing/executor.h"
 #include "testing/mutants.h"
 #include "testing/simulated_imp.h"
@@ -238,8 +238,9 @@ class CooperativeLight : public ::testing::Test {
         spec_.system, TestPurpose::parse(spec_.system, purpose));
     EXPECT_TRUE(coop.reachable);
     const Strategy plan(coop.solution);
+    const decision::StrategySource source(plan);
     SimulatedImplementation imp(imp_system, kScale, ImpPolicy{latency, {}});
-    CooperativeExecutor exec(spec_.system, plan, imp, kScale);
+    TestExecutor exec(source, spec_.system, imp, kScale);
     return exec.run();
   }
 
