@@ -155,6 +155,20 @@ T flag_number(const char* arg, T lo = std::numeric_limits<T>::min(),
   return *value;
 }
 
+// The value of `--progress=SECS`, parsed strictly like flag_number.
+double flag_seconds(const char* arg) {
+  const char* const eq = std::strchr(arg, '=');
+  const auto value = tigat::util::parse_double(
+      eq + 1, 0.0, tigat::obs::Progress::kMaxPeriodSeconds);
+  if (!value) {
+    std::fprintf(stderr, "%.*s expects seconds in [0, %g], got '%s'\n",
+                 static_cast<int>(eq - arg), arg,
+                 tigat::obs::Progress::kMaxPeriodSeconds, eq + 1);
+    std::exit(kExitUsageOrModel);
+  }
+  return *value;
+}
+
 // Exports whatever telemetry was requested; called on every exit path
 // that completed the pipeline (solve and serve).  Returns false only
 // if a requested artifact could not be written.
@@ -313,7 +327,7 @@ int run_main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--progress") == 0) {
       progress_secs = 5.0;
     } else if (std::strncmp(argv[i], "--progress=", 11) == 0) {
-      progress_secs = std::atof(argv[i] + 11);
+      progress_secs = flag_seconds(argv[i]);
     } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
       fault_spec = argv[i] + 9;
       campaign_mode = true;

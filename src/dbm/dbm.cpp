@@ -74,11 +74,11 @@ Dbm::~Dbm() {
 }
 
 void Dbm::meter_add() const noexcept {
-  if (dim_ != 0) util::zone_memory().add(memory_bytes());
+  if (dim_ != 0) util::zone_meter_add(memory_bytes());
 }
 
 void Dbm::meter_sub() const noexcept {
-  if (dim_ != 0) util::zone_memory().sub(memory_bytes());
+  if (dim_ != 0) util::zone_meter_sub(memory_bytes());
 }
 
 Dbm Dbm::zero(std::uint32_t dim) {

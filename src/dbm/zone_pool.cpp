@@ -42,10 +42,10 @@ ZonePool::ZonePool(const ZonePool& other)
       slab_(other.slab_),
       index_(other.index_),
       metered_(slab_.size() * sizeof(raw_t)) {
-  util::zone_memory().add(metered_);
+  util::zone_meter_add(metered_);
 }
 
-ZonePool::~ZonePool() { util::zone_memory().sub(metered_); }
+ZonePool::~ZonePool() { util::zone_meter_sub(metered_); }
 
 ZonePool::RowId ZonePool::intern_row(const raw_t* row) {
   if (obs::metrics_enabled()) row_lookups().add(1);
@@ -60,7 +60,7 @@ ZonePool::RowId ZonePool::intern_row(const raw_t* row) {
   const auto id = static_cast<RowId>(count);
   slab_.insert(slab_.end(), row, row + dim_);
   chain.push_back(id);
-  util::zone_memory().add(dim_ * sizeof(raw_t));
+  util::zone_meter_add(dim_ * sizeof(raw_t));
   metered_ += dim_ * sizeof(raw_t);
   return id;
 }
@@ -78,7 +78,7 @@ std::size_t ZonePool::memory_bytes() const noexcept {
 
 PooledFed::PooledFed(const PooledFed& other)
     : dim_(other.dim_), ids_(other.ids_) {
-  util::zone_memory().add(memory_bytes());
+  util::zone_meter_add(memory_bytes());
 }
 
 PooledFed::PooledFed(PooledFed&& other) noexcept
@@ -96,21 +96,21 @@ PooledFed& PooledFed::operator=(const PooledFed& other) {
 
 PooledFed& PooledFed::operator=(PooledFed&& other) noexcept {
   if (this == &other) return *this;
-  util::zone_memory().sub(memory_bytes());
+  util::zone_meter_sub(memory_bytes());
   dim_ = other.dim_;
   ids_ = std::move(other.ids_);
   other.ids_.clear();
   return *this;
 }
 
-PooledFed::~PooledFed() { util::zone_memory().sub(memory_bytes()); }
+PooledFed::~PooledFed() { util::zone_meter_sub(memory_bytes()); }
 
 void PooledFed::meter_resize(std::size_t new_ids) {
   const std::size_t old_ids = ids_.size();
   if (new_ids > old_ids) {
-    util::zone_memory().add((new_ids - old_ids) * sizeof(ZonePool::RowId));
+    util::zone_meter_add((new_ids - old_ids) * sizeof(ZonePool::RowId));
   } else {
-    util::zone_memory().sub((old_ids - new_ids) * sizeof(ZonePool::RowId));
+    util::zone_meter_sub((old_ids - new_ids) * sizeof(ZonePool::RowId));
   }
 }
 

@@ -26,7 +26,7 @@
 // intern_row (the slab may grow).
 //
 // Both the pool slab and PooledFed id vectors report their bytes to
-// util::zone_memory(), so the exploration budget and the Table 1
+// the zone-memory meter (util/memory_meter.h), so the exploration budget and the Table 1
 // memory column measure the compressed footprint.
 #pragma once
 

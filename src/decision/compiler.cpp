@@ -1,15 +1,19 @@
 #include "decision/compiler.h"
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/assert.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace tigat::decision {
 
@@ -29,6 +33,8 @@ struct Entry {
   target_t leaf = 0;
 };
 
+// Interns one block of keys into tables of its own (see compiler.h);
+// the global Compiler merges the blocks in key order and compacts.
 class Compiler {
  public:
   explicit Compiler(const GameSolution& solution)
@@ -36,26 +42,111 @@ class Compiler {
         g_(solution.graph()),
         safety_(solution.purpose().kind == tsystem::PurposeKind::kSafety),
         reach_(g_.system().clock_count()) {
-    out_.fingerprint = model_fingerprint(g_.system(), solution.purpose());
     out_.clock_dim = g_.system().clock_count();
-    out_.purpose_kind = safety_ ? 1 : 0;
-    out_.system_name = g_.system().name();
-    out_.purpose_source = solution.purpose().source;
   }
 
-  TableData run(CompileStats* stats) {
-    util::Stopwatch watch;
-    for (std::uint32_t k = 0; k < g_.key_count(); ++k) compile_key(k);
+  void compile_keys(std::uint32_t begin, std::uint32_t end) {
+    for (std::uint32_t k = begin; k < end; ++k) compile_key(k);
+  }
+
+  // Interns everything `block` interned into this compiler's tables,
+  // table by table in the order the block created the entries, and
+  // appends its keys.  Every entry the block created was created by an
+  // intern call that a serial compile makes too, and an entry new to
+  // these tables is new to the block's, so this appends exactly what
+  // the serial compile appends for those keys, in its order: after the
+  // merge the tables equal the serial ones entry for entry.  Fields
+  // the block left at their defaults (an action leaf's zone slice, a
+  // reachability leaf's danger slice and acts) stay defaults, since
+  // re-interning them would add entries the serial compile never made.
+  void merge(Compiler&& block) {
+    TableData& in = block.out_;
+    std::vector<std::uint32_t> zone_of;
+    zone_of.reserve(in.zones.size());
+    for (const Dbm& z : in.zones) zone_of.push_back(intern_zone(z));
+    std::vector<std::uint32_t> edge_of;
+    edge_of.reserve(in.edges.size());
+    for (const TableData::EdgeSlot& e : in.edges) {
+      edge_of.push_back(edge_slot(e.original));
+    }
+    std::map<Slice, Slice> slice_of;
+    std::vector<std::uint32_t> refs;
+    for (const Slice& slice : block.slices_) {
+      refs.clear();
+      for (std::uint32_t r = 0; r < slice.second; ++r) {
+        refs.push_back(zone_of[in.zone_refs[slice.first + r]]);
+      }
+      slice_of.emplace(slice, intern_slice(refs));
+    }
+    const auto remap_slice = [&](std::uint32_t& first, std::uint32_t& count) {
+      std::tie(first, count) = slice_of.at({first, count});
+    };
+    std::map<Slice, Slice> acts_of;
+    std::vector<TableData::Act> acts;
+    for (const Slice& slice : block.act_slices_) {
+      acts.assign(in.acts.begin() + slice.first,
+                  in.acts.begin() + slice.first + slice.second);
+      for (TableData::Act& act : acts) {
+        act.edge_slot = edge_of[act.edge_slot];
+        remap_slice(act.zones_first, act.zones_count);
+      }
+      acts_of.emplace(slice, intern_acts(acts));
+    }
+    std::vector<target_t> leaf_of;
+    leaf_of.reserve(in.leaves.size());
+    for (TableData::Leaf leaf : in.leaves) {
+      if (leaf.kind == MoveKind::kAction) {
+        leaf.edge_slot = edge_of[leaf.edge_slot];
+      }
+      if (leaf.kind == MoveKind::kDelay) {
+        remap_slice(leaf.zones_first, leaf.zones_count);
+        if (safety_) {
+          remap_slice(leaf.danger_first, leaf.danger_count);
+          std::tie(leaf.acts_first, leaf.acts_count) =
+              acts_of.at({leaf.acts_first, leaf.acts_count});
+        }
+      }
+      leaf_of.push_back(intern_leaf(leaf));
+    }
+    // A node's targets are created before the node, so they are mapped
+    // by the time it is.
+    std::vector<target_t> node_of;
+    node_of.reserve(in.nodes.size());
+    const auto remap_target = [&](target_t t) {
+      return is_leaf(t) ? leaf_of[target_index(t)] : node_of[target_index(t)];
+    };
+    std::vector<TableData::Arc> arcs;
+    for (const TableData::Node& node : in.nodes) {
+      arcs.assign(in.arcs.begin() + node.first_arc,
+                  in.arcs.begin() + node.first_arc + node.arc_count);
+      for (TableData::Arc& arc : arcs) arc.target = remap_target(arc.target);
+      node_of.push_back(intern_node(node.i, node.j, arcs));
+    }
+    for (TableData::Key& key : in.keys) {
+      key.root = remap_target(key.root);
+      out_.keys.push_back(std::move(key));
+    }
+    cascade_entries_ += block.cascade_entries_;
+    nodes_built_ += block.nodes_built_;
+  }
+
+  // Fills the header and compacts; the compiler is spent afterwards.
+  TableData finish(CompileStats* stats) {
+    out_.fingerprint = model_fingerprint(g_.system(), sol_.purpose());
+    out_.purpose_kind = safety_ ? 1 : 0;
+    out_.system_name = g_.system().name();
+    out_.purpose_source = sol_.purpose().source;
     compact();
     if (stats != nullptr) {
       stats->cascade_entries = cascade_entries_;
       stats->nodes_built = nodes_built_;
-      stats->compile_seconds = watch.seconds();
     }
     return std::move(out_);
   }
 
  private:
+  using Slice = std::pair<std::uint32_t, std::uint32_t>;  // first, count
+
   // ── interning ───────────────────────────────────────────────────────
   std::uint32_t intern_zone(const Dbm& zone) {
     auto& ids = zone_index_[zone.hash()];
@@ -68,15 +159,14 @@ class Compiler {
     return id;
   }
 
-  std::pair<std::uint32_t, std::uint32_t> intern_slice(
-      const std::vector<std::uint32_t>& refs) {
+  Slice intern_slice(const std::vector<std::uint32_t>& refs) {
     const auto it = slice_index_.find(refs);
     if (it != slice_index_.end()) return it->second;
     const auto first = static_cast<std::uint32_t>(out_.zone_refs.size());
     out_.zone_refs.insert(out_.zone_refs.end(), refs.begin(), refs.end());
-    const auto slice =
-        std::make_pair(first, static_cast<std::uint32_t>(refs.size()));
+    const Slice slice(first, static_cast<std::uint32_t>(refs.size()));
     slice_index_.emplace(refs, slice);
+    slices_.push_back(slice);
     return slice;
   }
 
@@ -93,8 +183,7 @@ class Compiler {
     return leaf_target(id);
   }
 
-  std::pair<std::uint32_t, std::uint32_t> intern_acts(
-      const std::vector<TableData::Act>& acts) {
+  Slice intern_acts(const std::vector<TableData::Act>& acts) {
     std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> key;
     key.reserve(acts.size());
     for (const TableData::Act& a : acts) {
@@ -104,15 +193,14 @@ class Compiler {
     if (it != acts_index_.end()) return it->second;
     const auto first = static_cast<std::uint32_t>(out_.acts.size());
     out_.acts.insert(out_.acts.end(), acts.begin(), acts.end());
-    const auto slice =
-        std::make_pair(first, static_cast<std::uint32_t>(acts.size()));
+    const Slice slice(first, static_cast<std::uint32_t>(acts.size()));
     acts_index_.emplace(std::move(key), slice);
+    act_slices_.push_back(slice);
     return slice;
   }
 
   target_t intern_node(std::uint16_t i, std::uint16_t j,
-                       std::vector<TableData::Arc> arcs) {
-    ++nodes_built_;
+                       const std::vector<TableData::Arc>& arcs) {
     std::vector<std::pair<dbm::raw_t, target_t>> sig;
     sig.reserve(arcs.size());
     for (const TableData::Arc& a : arcs) sig.emplace_back(a.bound, a.target);
@@ -303,6 +391,7 @@ class Compiler {
     const target_t on_yes = build(yes, entries);
     const target_t on_no = build(no, entries);
     if (on_yes == on_no) return on_yes;  // the test does not discriminate
+    ++nodes_built_;
 
     std::vector<TableData::Arc> arcs;
     arcs.push_back({bound, on_yes});
@@ -317,11 +406,11 @@ class Compiler {
         for (std::uint32_t a = 0; a < chain.arc_count; ++a) {
           arcs.push_back(out_.arcs[chain.first_arc + a]);
         }
-        return intern_node(i, j, std::move(arcs));
+        return intern_node(i, j, arcs);
       }
     }
     arcs.push_back({dbm::kInfinity, on_no});
-    return intern_node(i, j, std::move(arcs));
+    return intern_node(i, j, arcs);
   }
 
   // ── mark & compact ──────────────────────────────────────────────────
@@ -448,30 +537,77 @@ class Compiler {
   Fed reach_;  // compile_key's decode buffer for the key's reach set
 
   std::unordered_map<std::size_t, std::vector<std::uint32_t>> zone_index_;
-  std::map<std::vector<std::uint32_t>, std::pair<std::uint32_t, std::uint32_t>>
-      slice_index_;
+  std::map<std::vector<std::uint32_t>, Slice> slice_index_;
   std::map<std::tuple<MoveKind, std::uint32_t, std::uint32_t, std::uint32_t,
                       std::uint32_t, std::uint32_t, std::uint32_t,
                       std::uint32_t, std::uint32_t>,
            std::uint32_t>
       leaf_index_;
   std::map<std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>>,
-           std::pair<std::uint32_t, std::uint32_t>>
+           Slice>
       acts_index_;
   std::map<std::tuple<std::uint16_t, std::uint16_t,
                       std::vector<std::pair<dbm::raw_t, target_t>>>,
            std::uint32_t>
       node_index_;
   std::unordered_map<std::uint32_t, std::uint32_t> edge_slots_;
+  // Zone slices and act slices in the order they were created, for
+  // merge().
+  std::vector<Slice> slices_;
+  std::vector<Slice> act_slices_;
 
   std::size_t cascade_entries_ = 0;
   std::size_t nodes_built_ = 0;
 };
 
+// Keys per block, and blocks per worker in one wave: enough blocks for
+// the pool's chunk stealing to even out keys of very different cost,
+// few enough that a wave's block tables stay small.
+constexpr std::uint32_t kBlockKeys = 256;
+constexpr std::size_t kBlocksPerWorker = 4;
+
 }  // namespace
 
 DecisionTable compile(const GameSolution& solution, CompileStats* stats) {
-  return DecisionTable(Compiler(solution).run(stats));
+  TIGAT_SPAN("compile");
+  const util::Stopwatch watch;
+  util::ThreadPool pool(solution.stats().threads);
+  Compiler global(solution);
+  const std::uint32_t keys = solution.graph().key_count();
+  const std::size_t blocks = (std::size_t{keys} + kBlockKeys - 1) / kBlockKeys;
+  const std::size_t wave = pool.worker_count() * kBlocksPerWorker;
+  std::vector<std::unique_ptr<Compiler>> compiled;
+  double merge_seconds = 0.0;
+  for (std::size_t first = 0; first < blocks; first += wave) {
+    const std::size_t count = std::min(wave, blocks - first);
+    compiled.resize(count);
+    pool.parallel_for(
+        count, 1,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t b = begin; b < end; ++b) {
+            const std::size_t k = (first + b) * kBlockKeys;
+            compiled[b] = std::make_unique<Compiler>(solution);
+            compiled[b]->compile_keys(
+                static_cast<std::uint32_t>(k),
+                static_cast<std::uint32_t>(
+                    std::min<std::size_t>(k + kBlockKeys, keys)));
+          }
+        },
+        "compile.block");
+    TIGAT_SPAN("compile.merge");
+    const util::Stopwatch merge_watch;
+    for (std::unique_ptr<Compiler>& block : compiled) {
+      global.merge(std::move(*block));
+      block.reset();
+    }
+    merge_seconds += merge_watch.seconds();
+  }
+  DecisionTable table(global.finish(stats));
+  if (stats != nullptr) {
+    stats->merge_seconds = merge_seconds;
+    stats->compile_seconds = watch.seconds();
+  }
+  return table;
 }
 
 }  // namespace tigat::decision

@@ -27,6 +27,26 @@
 // carry the exact member zones whose earliest_entry_delay Strategy
 // minimises.  Compilation is deterministic — same solution, same
 // table, byte-stable .tgs files.
+//
+// ── parallel blocks ────────────────────────────────────────────────────
+//
+// compile() runs on as many threads as the solve did
+// (SolverStats::threads).  The keys are cut into blocks of 256; a wave
+// of blocks compiles in parallel, each block into a compiler of its
+// own with its own intern tables, reading the solution through its
+// lock-free accessors (a key's action regions are asked for only by
+// that key's block).  The wave's blocks are then merged serially in
+// key order: each block's zones, edge slots, zone slices, acts, leaves
+// and nodes are interned again into the global tables, table by table
+// in the order the block created them, and its keys are appended.  An
+// entry the block created came from an intern call the serial compile
+// makes too, and an entry new to the global tables is new to the
+// block's, so the merge appends exactly the entries, in exactly the
+// order, that compiling the keys one by one into the global tables
+// would: after the last merge the tables equal the serial ones entry
+// for entry, and the final compaction, which renumbers in DFS order
+// from the key roots, writes the same .tgs bytes at every thread
+// count.  At one thread the same blocks run one after another.
 #pragma once
 
 #include "decision/table.h"
@@ -39,6 +59,7 @@ struct CompileStats {
   std::size_t cascade_entries = 0;  // federation rows before lowering
   std::size_t nodes_built = 0;      // before hash-consing hits
   double compile_seconds = 0.0;
+  double merge_seconds = 0.0;  // of which the serial block merges
 };
 
 // Compiles the solved game into a self-contained decision table.

@@ -525,6 +525,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
   st.reach_zones = gstats.zones;
   st.edges = gstats.edges;
   st.rounds = rounds;
+  st.threads = pool.worker_count();
   for (const auto& pds : win) {
     for (const auto& pd : pds) st.winning_zones += pd.gained.size();
   }
@@ -547,6 +548,7 @@ std::shared_ptr<const GameSolution> GameSolver::solve() {
     m.counter("solver.winning_zones").set(st.winning_zones);
     m.counter("solver.edges").set(st.edges);
     m.counter("solver.rounds").set(st.rounds);
+    m.counter("solver.threads").set(st.threads);
     m.counter("solver.peak_zone_bytes").set(st.peak_zone_bytes);
     m.counter("solver.zone_pool_rows").set(st.zone_pool_rows);
     m.counter("solver.zone_pool_bytes").set(st.zone_pool_bytes);

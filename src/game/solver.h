@@ -135,9 +135,16 @@ struct SolverStats {
   std::size_t winning_zones = 0;
   std::size_t edges = 0;
   std::size_t rounds = 0;
+  // Worker threads the solve ran on (SolverOptions::threads resolved:
+  // 0 becomes the hardware concurrency), the calling thread included.
+  // decision::compile runs on as many.
+  unsigned threads = 1;
   // High-water mark of the zone-memory meter during this solve, from
   // the bytes already live when it began.  A solve that reuses a
   // shared graph counts that graph once, as part of those live bytes.
+  // The meter sees worker threads' zone bytes only when they flush
+  // (util/memory_meter.h), so a transient high inside a parallel job
+  // may be missed by less than threads × util::kZoneMeterGranule.
   std::size_t peak_zone_bytes = 0;
   double solve_seconds = 0.0;
   // Exploration phase split: parallel wave expansion vs the serial

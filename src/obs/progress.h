@@ -30,6 +30,9 @@ class Progress {
  public:
   static Progress& instance();
 
+  // The longest period a command-line flag may ask for: a day.
+  static constexpr double kMaxPeriodSeconds = 24 * 3600.0;
+
   // Arms the heartbeat: at most one record per `period_seconds`, to
   // `out` (default stderr).  Period 0 emits on every tick.
   void enable(double period_seconds, std::FILE* out = stderr);

@@ -84,7 +84,14 @@ struct ExplorationOptions {
   // mechanism for bounding actual memory.
   std::size_t max_keys = std::size_t{1} << 25;
   std::size_t max_zones = std::size_t{1} << 27;
-  // Abort when the zone-memory meter exceeds this many bytes.
+  // Abort when the zone-memory meter (util::zone_memory()) exceeds this
+  // many bytes; checked per expanded state and per merged zone.  The
+  // graph's reach sets and rows grow in the serial merges on the
+  // calling thread, whose reads are exact; while a wave expands, each
+  // other worker's unflushed zone bytes (less than
+  // util::kZoneMeterGranule each) may be missing from or extra in the
+  // reading, so the check is exact at job boundaries and off by less
+  // than (threads − 1) × kZoneMeterGranule inside a job.
   std::size_t max_zone_bytes = std::numeric_limits<std::size_t>::max();
   // Wall-clock budget for exploration (seconds); 0 = unlimited.  Used
   // by the Table 1 harness to reproduce the paper's "/" cells.

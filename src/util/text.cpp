@@ -1,5 +1,6 @@
 #include "util/text.h"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -37,6 +38,18 @@ std::string_view trim(std::string_view text) {
 
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
+}
+
+std::optional<double> parse_double(std::string_view text, double lo,
+                                   double hi) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value) ||
+      value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string format(const char* fmt, ...) {

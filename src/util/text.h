@@ -40,6 +40,13 @@ template <typename T>
   return value;
 }
 
+// Parses all of `text` as a finite decimal number in [lo, hi]; nullopt
+// on anything else: empty text, leading or trailing characters, "inf"
+// or "nan", overflow, or a value outside the range.  The strict
+// counterpart of atof, as parse_int is of atoi.
+[[nodiscard]] std::optional<double> parse_double(std::string_view text,
+                                                 double lo, double hi);
+
 // printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -9,6 +9,7 @@
 #endif
 
 #include "obs/trace.h"
+#include "util/memory_meter.h"
 
 namespace tigat::util {
 
@@ -82,7 +83,7 @@ void ThreadPool::run_chunks() {
   for (;;) {
     const std::size_t begin =
         cursor_.fetch_add(grain_, std::memory_order_relaxed);
-    if (begin >= n_) return;
+    if (begin >= n_) break;
     const std::size_t end = std::min(begin + grain_, n_);
     if (aborted_.load(std::memory_order_acquire)) continue;
     try {
@@ -93,6 +94,9 @@ void ThreadPool::run_chunks() {
       aborted_.store(true, std::memory_order_release);
     }
   }
+  // Before the ack: once parallel_for returns, zone_memory() holds
+  // every byte the job's zones allocated or freed.
+  flush_zone_meter();
 }
 
 void ThreadPool::parallel_for(
@@ -104,6 +108,7 @@ void ThreadPool::parallel_for(
   if (workers_.empty() || n <= grain) {
     TIGAT_SPAN(label != nullptr ? label : "parallel_for");
     body(0, n);
+    flush_zone_meter();
     return;
   }
   {

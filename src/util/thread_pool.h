@@ -18,6 +18,10 @@
 // drained without running the body, and the first exception is
 // rethrown on the calling thread once the range is complete — so
 // ExplorationLimit and friends propagate exactly as in serial code.
+//
+// Every participating thread flushes its pending zone-memory bytes
+// (util/memory_meter.h) before its share of a job ends, so the meter
+// is exact again when parallel_for returns.
 #pragma once
 
 #include <atomic>

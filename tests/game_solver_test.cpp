@@ -2,9 +2,14 @@
 // games, plus the Smart Light control objectives of the paper.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "game/solver.h"
 #include "game/strategy.h"
 #include "models/smart_light.h"
+#include "support/solution_digest.h"
+#include "util/memory_meter.h"
+#include "util/thread_pool.h"
 
 namespace tigat::game {
 namespace {
@@ -448,6 +453,82 @@ TEST(GameSolver, SmartLightSafetyObjectives) {
   const auto sol = solve(m.system, "control: A[] IUT.Bright");
   EXPECT_FALSE(sol->goal_key(sol->graph().initial_key()));
   EXPECT_FALSE(sol->winning_from_initial());
+}
+
+// ── the zone-byte budget ──────────────────────────────────────────────
+// ExplorationOptions::max_zone_bytes is checked against zone_memory(),
+// which solver workers feed through per-thread pending deltas.  On LEP
+// N=3 TP1, at one thread and at four, a budget at half the bytes the
+// exploration needs stops the solve, and a budget above the solve's
+// peak lets it finish with the pinned solution.  Each solve loads its
+// own System, so none reuses another's explored graph.
+
+struct Lep3 {
+  lang::LoadedModel model = test_support::load_pinned_model("lep.tg", 3);
+  std::shared_ptr<const GameSolution> solve(unsigned threads,
+                                            std::size_t budget) const {
+    SolverOptions options;
+    options.threads = threads;
+    options.exploration.max_zone_bytes = budget;
+    return GameSolver(model.system,
+                      TestPurpose::parse(model.system, test_support::kLepTp1),
+                      options)
+        .solve();
+  }
+};
+
+// The high-water mark of an unbudgeted LEP N=3 exploration, and the
+// live bytes it started from.
+std::pair<std::size_t, std::size_t> exploration_peak(unsigned threads) {
+  const Lep3 lep;
+  util::ThreadPool pool(threads);
+  util::zone_memory().reset_peak();
+  const std::size_t baseline = util::zone_memory().current();
+  semantics::SymbolicGraph graph(lep.model.system);
+  graph.explore(&pool);
+  return {baseline, util::zone_memory().peak()};
+}
+
+const char* kLep3Tp1Pin = test_support::kPins[4].solution;
+
+TEST(GameSolverZoneBudget, HalfTheExplorationPeakThrows) {
+  ASSERT_STREQ(test_support::kPins[4].purpose, test_support::kLepTp1);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto [baseline, peak] = exploration_peak(threads);
+    // The graph's reach sets and rows are written in the serial merges
+    // on the calling thread, which reads the meter exactly, so half of
+    // what they need trips the budget however small it is.
+    ASSERT_GT(peak, baseline);
+    const Lep3 lep;
+    try {
+      (void)lep.solve(threads, baseline + (peak - baseline) / 2);
+      ADD_FAILURE() << "a budget at half the peak did not stop the solve";
+    } catch (const semantics::ExplorationLimit& e) {
+      EXPECT_STREQ(e.what(), "zone memory budget exceeded");
+    }
+  }
+}
+
+TEST(GameSolverZoneBudget, BudgetAbovePeakSolvesToThePin) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::size_t peak = 0;
+    {
+      const Lep3 lep;
+      peak = lep.solve(threads, std::numeric_limits<std::size_t>::max())
+                 ->stats()
+                 .peak_zone_bytes;
+    }
+    // Inside a job another worker's unflushed delta may make the meter
+    // read up to a granule per thread high, and the recorded peak may
+    // sit as much below the true one.
+    const Lep3 lep;
+    const auto solution =
+        lep.solve(threads, peak + 2 * threads * util::kZoneMeterGranule);
+    EXPECT_TRUE(solution->winning_from_initial());
+    EXPECT_EQ(test_support::solution_digest(*solution), kLep3Tp1Pin);
+  }
 }
 
 }  // namespace

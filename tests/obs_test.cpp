@@ -282,6 +282,8 @@ TEST(ObsMetrics, SolverCountersEqualSolverStatsExactly) {
               st.winning_zones);
     EXPECT_EQ(metrics().counter("solver.edges").value(), st.edges);
     EXPECT_EQ(metrics().counter("solver.rounds").value(), st.rounds);
+    EXPECT_EQ(metrics().counter("solver.threads").value(), st.threads);
+    EXPECT_EQ(st.threads, threads);
     // The per-round gain counters must account for every winning zone
     // except round 0's goal seeds.
     EXPECT_GT(metrics().counter("solver.fixpoint.gained_keys").value(), 0u);

@@ -18,6 +18,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <sys/wait.h>
@@ -195,6 +197,38 @@ TEST(RunModelCli, HostileNumericFlagsAreUsageErrors) {
   EXPECT_EQ(run_cli(kSafetyModel + " --threads=abc"), 1);
   EXPECT_EQ(run_cli(kSafetyModel + " --runs=1 --retries=-1"), 1);
   EXPECT_EQ(run_cli(kSafetyModel + " --runs=1x"), 1);
+  EXPECT_EQ(run_cli(kSafetyModel + " --progress=abc"), 1);
+  EXPECT_EQ(run_cli(kSafetyModel + " --progress=-1"), 1);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The solve and the compile both run on --threads workers, and the
+// .tgs bytes do not depend on how many: LEP N=3 saves the same file at
+// one thread and at four, and the metrics snapshot records the count.
+TEST(RunModelCli, StrategyBytesAreIdenticalAcrossThreadCounts) {
+  const std::string lep = std::string(TIGAT_MODEL_DIR) + "/lep.tg";
+  std::string tgs[2];
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string base = ::testing::TempDir() + "/run_model_cli_lep3_t" +
+                             std::to_string(threads);
+    ASSERT_EQ(run_cli(lep + " --param N=3 --threads=" +
+                      std::to_string(threads) + " --strategy-out=" + base +
+                      ".tgs --metrics-out=" + base + ".json"),
+              0);
+    tgs[threads == 1 ? 0 : 1] = slurp(base + ".tgs");
+    EXPECT_NE(slurp(base + ".json").find("\"solver.threads\": " +
+                                         std::to_string(threads) + ","),
+              std::string::npos);
+    std::remove((base + ".tgs").c_str());
+    std::remove((base + ".json").c_str());
+  }
+  EXPECT_FALSE(tgs[0].empty());
+  EXPECT_TRUE(tgs[0] == tgs[1]) << "the .tgs files differ";
 }
 
 }  // namespace

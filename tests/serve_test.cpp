@@ -383,11 +383,12 @@ TEST(ServeBinary, LegacyTableIsRefusedWithMigrateDiagnostic) {
   std::remove(tgs.c_str());
 }
 
-// Numeric flags parse strictly: a negative or garbage --threads is a
-// usage error (exit 1) raised before the table is even opened — the
-// missing table here would otherwise be the I/O code 2.
+// Numeric flags parse strictly: a negative or garbage --threads or
+// --progress is a usage error (exit 1) raised before the table is even
+// opened — the missing table here would otherwise be the I/O code 2.
 TEST(ServeBinary, HostileNumericFlagsAreUsageErrors) {
-  for (const char* flag : {"--threads=-1", "--threads=abc"}) {
+  for (const char* flag : {"--threads=-1", "--threads=abc", "--progress=abc",
+                           "--progress=-1"}) {
     SCOPED_TRACE(flag);
     Daemon daemon = Daemon::spawn({"serve", "--table=/nonexistent/x.tgs",
                                    "--socket=" + socket_path("flags"), flag});

@@ -59,6 +59,23 @@ TEST_P(SolverDigest, MatchesPinAtEveryThreadCount) {
 
 INSTANTIATE_TEST_SUITE_P(Pinned, SolverDigest, ::testing::ValuesIn(kPins));
 
+// decision::compile cuts the keys into blocks of 256 and merges them;
+// the Smart Light safety purposes above fit in one block, so this
+// safety purpose over LEP N=3 (1,377 keys, six blocks) pins the merge
+// of safety leaves, their danger slices and boundary acts.  Recorded
+// from the serial compiler that predates the blocks.
+TEST(SolverDigestSafety, LepSafetyAcrossCompileBlocks) {
+  const lang::LoadedModel model = load_pinned_model("lep.tg", 3);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto solution =
+        solve(model.system, "control: A[] !IUT.leader", threads);
+    ASSERT_GT(solution->graph().key_count(), 5u * 256u);
+    EXPECT_EQ(solution_digest(*solution), "a289c86dd883476c");
+    EXPECT_EQ(table_digest(*solution), "3dcdb64f1fc4b6c3");
+  }
+}
+
 struct Model {
   const char* file;  // under examples/models
   std::int64_t n;    // --param N (0: the file's default)

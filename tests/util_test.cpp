@@ -1,16 +1,21 @@
 // Tests for the util module: text helpers, tables, rng, memory meter.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
+#include <vector>
 
+#include "dbm/dbm.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 #include "util/text.h"
+#include "util/thread_pool.h"
 
 namespace tigat::util {
 namespace {
@@ -59,6 +64,21 @@ TEST(Text, ParseIntIsStrict) {
   EXPECT_EQ(parse_int<int>("99999999999"), std::nullopt);
   EXPECT_EQ(parse_int<std::uint64_t>("18446744073709551615"),
             std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(Text, ParseDoubleIsStrict) {
+  EXPECT_EQ(parse_double("2.5", 0.0, 10.0), 2.5);
+  EXPECT_EQ(parse_double("0", 0.0, 10.0), 0.0);
+  EXPECT_EQ(parse_double("1e1", 0.0, 10.0), 10.0);
+  EXPECT_EQ(parse_double("10.5", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("-1", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("abc", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("1s", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double(" 1", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_double("nan", 0.0, 10.0), std::nullopt);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(parse_double("inf", -inf, inf), std::nullopt);
 }
 
 TEST(TablePrinter, AlignsColumns) {
@@ -122,6 +142,33 @@ TEST(MemoryMeter, SubClampsAtZero) {
   m.add(5);
   m.sub(50);
   EXPECT_EQ(m.current(), 0u);
+}
+
+// The zone layer's per-thread accounting: four pool workers construct
+// zones, then free them in a different assignment (a worker frees
+// zones others built, whose bytes those others may not have flushed).
+// Whenever parallel_for has returned the meter is exact.
+TEST(MemoryMeter, ZoneBytesAreExactAfterEveryParallelJob) {
+  constexpr std::size_t kZones = 20000;  // ~60 granules of bytes
+  const std::size_t baseline = zone_memory().current();
+  const std::size_t per_zone = dbm::Dbm::universal(4).memory_bytes();
+  EXPECT_EQ(zone_memory().current(), baseline);
+  std::vector<std::unique_ptr<dbm::Dbm>> zones(kZones);
+  ThreadPool pool(4);
+  ASSERT_EQ(pool.worker_count(), 4u);
+  pool.parallel_for(kZones, 64, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      // Copies and moves on the way, as the solver makes them.
+      dbm::Dbm z = dbm::Dbm::universal(4);
+      zones[i] = std::make_unique<dbm::Dbm>(dbm::Dbm(z));
+    }
+  });
+  EXPECT_EQ(zone_memory().current(), baseline + kZones * per_zone);
+  EXPECT_GE(zone_memory().peak(), baseline + kZones * per_zone);
+  pool.parallel_for(kZones, 1000, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) zones[kZones - 1 - i].reset();
+  });
+  EXPECT_EQ(zone_memory().current(), baseline);
 }
 
 TEST(MemoryMeter, MebibyteConversion) {

@@ -86,6 +86,22 @@ bool flag_number(const char* arg, T& out,
   return true;
 }
 
+// The value of `--progress=SECS`, parsed strictly like flag_number.
+bool flag_seconds(const char* arg, double& out) {
+  const char* const eq = std::strchr(arg, '=');
+  const auto value = tigat::util::parse_double(
+      eq + 1, 0.0, tigat::obs::Progress::kMaxPeriodSeconds);
+  if (!value) {
+    std::fprintf(stderr,
+                 "tigat-serve: %.*s expects seconds in [0, %g], got '%s'\n",
+                 static_cast<int>(eq - arg), arg,
+                 tigat::obs::Progress::kMaxPeriodSeconds, eq + 1);
+    return false;
+  }
+  out = *value;
+  return true;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -312,7 +328,7 @@ int run_serve(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--progress") == 0) {
       progress_secs = 5.0;
     } else if (std::strncmp(argv[i], "--progress=", 11) == 0) {
-      progress_secs = std::atof(argv[i] + 11);
+      if (!flag_seconds(argv[i], progress_secs)) return kExitUsage;
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {
       options.verify_checksum = false;
       options.verify_zones = false;
